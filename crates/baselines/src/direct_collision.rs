@@ -151,17 +151,25 @@ mod tests {
     #[test]
     fn batched_engine_stabilizes_to_a_permutation() {
         let n = 16;
-        let p = DirectCollisionSsle::new(n);
-        let mut sim = ppsim::BatchSimulation::clean(p, 5);
+        let telemetry = ppsim::Telemetry::enabled();
+        let mut sim = ppsim::SimBuilder::new(DirectCollisionSsle::new(n))
+            .kind(ppsim::EngineKind::Batched)
+            .seed(5)
+            .telemetry(telemetry.clone())
+            .build();
         // A permutation in count space: every rank held by exactly one agent.
-        let out = sim.run_until(|c| c.counts().iter().all(|&c| c == 1), 50_000_000);
+        let out = sim.run_until(&mut |c| c.counts().iter().all(|&c| c == 1), 50_000_000);
         assert!(out.satisfied);
         let p = DirectCollisionSsle::new(n);
         assert!(p.is_correct_ranking(sim.to_configuration().as_slice()));
         // From the all-rank-1 start, reaching a permutation needs at least
         // n - 1 resamples but far fewer interactions than the per-step count.
-        assert!(sim.active_interactions() >= (n as u64) - 1);
-        assert!(sim.active_interactions() < out.interactions);
+        let active = telemetry
+            .report()
+            .expect("enabled handle")
+            .counter(ppsim::telemetry::Counter::BatchedActiveInteractions);
+        assert!(active >= (n as u64) - 1);
+        assert!(active < out.interactions);
     }
 
     #[test]

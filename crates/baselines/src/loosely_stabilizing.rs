@@ -264,9 +264,12 @@ mod tests {
     fn batched_engine_recovers_a_unique_leader() {
         let n = 64;
         let p = LooselyStabilizingLe::with_timer_max(n, 200);
-        let mut sim = ppsim::BatchSimulation::clean(p, 2);
+        let mut sim = ppsim::SimBuilder::new(p)
+            .kind(ppsim::EngineKind::Batched)
+            .seed(2)
+            .build();
         let out = sim.run_until(
-            |c| {
+            &mut |c| {
                 let p = LooselyStabilizingLe::with_timer_max(64, 200);
                 c.count_where(&p, |s| s.leader) == 1
             },

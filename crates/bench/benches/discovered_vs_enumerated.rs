@@ -3,16 +3,16 @@
 //! enumerated protocol and under the dynamic state indexer
 //! (`ppsim::DiscoveredProtocol`).
 //!
-//! The enumerated rows measure exactly what `batched_vs_perstep` always
-//! measured — a regression here means the Fenwick-backed incremental weight
-//! maintenance lost ground against the old dense per-round scan. The
+//! The enumerated rows time the batched engine alone — a regression here
+//! means the Fenwick-backed incremental weight maintenance lost ground. The
 //! discovered rows add the adapter's interning/peeking overhead on top; the
 //! two should stay within a small constant factor of each other on the
 //! epidemics (two live states, one active pair).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppsim::epidemic::{OneWayEpidemic, INFORMED};
-use ppsim::{BatchSimulation, DiscoveredProtocol};
+use ppsim::{CleanInit, DiscoveredProtocol, EngineKind, EnumerableProtocol, SimBuilder};
+use ppsim::{CountConfiguration, SimulationEngine};
 use std::time::Duration;
 
 fn budget(n: usize) -> u64 {
@@ -20,9 +20,19 @@ fn budget(n: usize) -> u64 {
     (50.0 * nf * nf.ln()).ceil() as u64
 }
 
+fn batched<P: EnumerableProtocol + CleanInit + 'static>(
+    protocol: P,
+    seed: u64,
+) -> Box<dyn SimulationEngine<P>> {
+    SimBuilder::new(protocol)
+        .kind(EngineKind::Batched)
+        .seed(seed)
+        .build()
+}
+
 fn complete_enumerated(n: usize, seed: u64) -> u64 {
-    let mut sim = BatchSimulation::clean(OneWayEpidemic::new(n, 1), seed);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget(n));
+    let mut sim = batched(OneWayEpidemic::new(n, 1), seed);
+    let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget(n));
     assert!(out.satisfied);
     out.interactions
 }
@@ -30,9 +40,11 @@ fn complete_enumerated(n: usize, seed: u64) -> u64 {
 fn complete_discovered(n: usize, seed: u64) -> u64 {
     let discovered = DiscoveredProtocol::new(OneWayEpidemic::new(n, 1));
     let handle = discovered.clone();
-    let mut sim = BatchSimulation::clean(discovered, seed);
+    let mut sim = batched(discovered, seed);
     let out = sim.run_until(
-        |c| (0..c.num_states()).all(|i| c.count(i) == 0 || handle.peek(i, |s| *s)),
+        &mut |c: &CountConfiguration| {
+            (0..c.num_states()).all(|i| c.count(i) == 0 || handle.peek(i, |s| *s))
+        },
         budget(n),
     );
     assert!(out.satisfied);

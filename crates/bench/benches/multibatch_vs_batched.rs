@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppsim::epidemic::{OneWayEpidemic, INFORMED};
-use ppsim::{BatchSimulation, MultiBatchSimulation};
+use ppsim::{EngineKind, SimBuilder};
 use std::time::Duration;
 
 fn budget(n: usize) -> u64 {
@@ -26,16 +26,12 @@ fn budget(n: usize) -> u64 {
     (50.0 * nf * nf.ln()).ceil() as u64
 }
 
-fn complete_batched(n: usize, sources: usize, seed: u64) -> u64 {
-    let mut sim = BatchSimulation::clean(OneWayEpidemic::new(n, sources), seed);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget(n));
-    assert!(out.satisfied);
-    out.interactions
-}
-
-fn complete_multibatch(n: usize, sources: usize, seed: u64) -> u64 {
-    let mut sim = MultiBatchSimulation::clean(OneWayEpidemic::new(n, sources), seed);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget(n));
+fn complete(kind: EngineKind, n: usize, sources: usize, seed: u64) -> u64 {
+    let mut sim = SimBuilder::new(OneWayEpidemic::new(n, sources))
+        .kind(kind)
+        .seed(seed)
+        .build();
+    let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget(n));
     assert!(out.satisfied);
     out.interactions
 }
@@ -49,14 +45,14 @@ fn bench_engines(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                complete_batched(n, n / 2, seed)
+                complete(EngineKind::Batched, n, n / 2, seed)
             });
         });
         group.bench_with_input(BenchmarkId::new("multibatch", n), &n, |b, &n| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                complete_multibatch(n, n / 2, seed)
+                complete(EngineKind::MultiBatch, n, n / 2, seed)
             });
         });
     }
@@ -70,14 +66,14 @@ fn bench_engines(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            complete_batched(n, 1, seed)
+            complete(EngineKind::Batched, n, 1, seed)
         });
     });
     group.bench_with_input(BenchmarkId::new("multibatch", n), &n, |b, &n| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            complete_multibatch(n, 1, seed)
+            complete(EngineKind::MultiBatch, n, 1, seed)
         });
     });
     group.finish();

@@ -3,8 +3,8 @@
 //! The per-agent engine ([`crate::Simulation`]) pays for every interaction,
 //! including the overwhelming majority that change nothing — for a one-way
 //! epidemic, `Θ(n log n)` interactions of which only `n − 1` are
-//! state-changing. [`BatchSimulation`] instead works on a
-//! [`CountConfiguration`] and, in every round,
+//! state-changing. The batched engine ([`crate::EngineKind::Batched`])
+//! instead works on a [`CountConfiguration`] and, in every round,
 //!
 //! 1. computes the probability `p` that a uniformly random ordered pair is
 //!    *non-silent* (changes state with positive probability),
@@ -47,30 +47,19 @@
 //! [`EnumerableProtocol::transition_indices`] call otherwise.
 
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
-use crate::count_config::{validate_engine_inputs, CountConfiguration};
+use crate::convergence::StabilizationResult;
+use crate::count_config::CountConfiguration;
+use crate::engine::{
+    measure_counts, run_counts, run_until_counts, CountTier, PredicateGranularity, SimulationEngine,
+};
 use crate::enumerable::EnumerableProtocol;
-use crate::error::SimError;
-use crate::protocol::{CleanInit, InteractionCtx};
+use crate::protocol::InteractionCtx;
 use crate::rng::{uniform_below_u128, SimRng};
 use crate::simulation::{RunOutcome, StabilizationOptions};
 use crate::telemetry::{Counter, SpanKind, Telemetry};
 use rand::distributions::{Distribution, Geometric};
 use rand::RngCore;
 use std::collections::HashMap;
-
-/// What one call to [`BatchSimulation::advance_batch`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchOutcome {
-    /// Interactions charged to the counter (silent run plus, if `changed`,
-    /// the one non-silent interaction ending it).
-    executed: u64,
-    /// Whether a non-silent interaction was executed.
-    changed: bool,
-    /// Whether the configuration can never change again (no non-silent state
-    /// pair is occupied); the whole budget was consumed as silence.
-    stalled: bool,
-}
 
 /// A Fenwick (binary indexed) tree over `u128` weights with appendable
 /// positions and prefix-threshold search.
@@ -500,19 +489,18 @@ pub(crate) fn sample_support(
 }
 
 /// A population-protocol execution on state counts, batching silent
-/// interactions.
+/// interactions — the [`crate::EngineKind::Batched`] tier.
 ///
 /// Construction touches only the **occupied** corner of the pair space, so
 /// the engine is as comfortable with a protocol of thousands of reachable
 /// states — or a dynamically discovered, effectively unbounded state space
 /// ([`crate::indexer::DiscoveredProtocol`]) — as with a two-state epidemic.
 #[derive(Debug)]
-pub struct BatchSimulation<P: EnumerableProtocol> {
+pub(crate) struct BatchSimulation<P: EnumerableProtocol> {
     protocol: P,
     counts: CountConfiguration,
     rng: SimRng,
     interactions: u64,
-    active_interactions: u64,
     pairs: PairIndex,
     /// Observability handle; disabled by default, in which case every probe
     /// below compiles to an early-out on a `None` and the engine's RNG
@@ -524,121 +512,25 @@ pub struct BatchSimulation<P: EnumerableProtocol> {
 }
 
 impl<P: EnumerableProtocol> BatchSimulation<P> {
-    /// Creates a batched simulation from an explicit count configuration,
-    /// returning a typed error on invalid input.
-    ///
-    /// # Supported populations
-    ///
-    /// `2 ≤ n ≤ 2⁶²` ([`crate::count_config::MAX_POPULATION`]): pair weights
-    /// are kept exact in `u128`, memory is `O(#occupied states)` independent
-    /// of `n`. Larger populations yield
-    /// [`SimError::UnsupportedPopulation`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameters`] if the configuration's state count
-    /// does not match [`EnumerableProtocol::num_states`], its population
-    /// does not match [`crate::Protocol::population_size`], or the
-    /// population has fewer than two agents;
-    /// [`SimError::UnsupportedPopulation`] past the engine bound.
-    pub fn try_new(protocol: P, counts: CountConfiguration, seed: u64) -> Result<Self, SimError> {
-        validate_engine_inputs(&protocol, &counts)?;
+    /// Builds the engine from inputs `SimBuilder::try_build` validated.
+    /// Telemetry counts from the first batch on: the Fenwick updates of the
+    /// index construction are not recorded.
+    pub(crate) fn from_parts(
+        protocol: P,
+        counts: CountConfiguration,
+        seed: u64,
+        telemetry: Telemetry,
+    ) -> Self {
         let pairs = PairIndex::new(&protocol, &counts);
-        Ok(BatchSimulation {
+        BatchSimulation {
+            fenwick_seen: pairs.updates,
             protocol,
             counts,
             rng: SimRng::seed_from_u64(seed),
             interactions: 0,
-            active_interactions: 0,
             pairs,
-            telemetry: Telemetry::disabled(),
-            fenwick_seen: 0,
-        })
-    }
-
-    /// Attaches a [`Telemetry`] handle. Counters and spans recorded from now
-    /// on land in that handle's report; Fenwick updates performed before the
-    /// attach (index construction included) are not back-filled.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.fenwick_seen = self.pairs.updates;
-        self.telemetry = telemetry;
-    }
-
-    /// The attached [`Telemetry`] handle (disabled unless
-    /// [`Self::set_telemetry`] was called with an enabled one).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Creates a batched simulation from an explicit count configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any input [`Self::try_new`] rejects.
-    pub fn new(protocol: P, counts: CountConfiguration, seed: u64) -> Self {
-        // lint:allow(panic): documented panicking wrapper; message pinned by should_panic test
-        Self::try_new(protocol, counts, seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a batched simulation from a per-agent configuration.
-    ///
-    /// Supports the same population range as [`Self::try_new`], though the
-    /// per-agent input is itself `O(n)` — start from counts (or
-    /// [`Self::clean`]) for very large populations.
-    pub fn from_configuration(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        let counts = CountConfiguration::from_configuration(&protocol, config);
-        Self::new(protocol, counts, seed)
-    }
-
-    /// Creates a batched simulation from the protocol's clean initial
-    /// configuration.
-    ///
-    /// Builds the counts directly via
-    /// [`CountConfiguration::from_clean_init`] — no `O(n)` per-agent vector
-    /// is ever materialized, so construction at `n = 10⁸⁺` stays within
-    /// `O(#occupied states)` memory. Supports the same population range as
-    /// [`Self::try_new`].
-    pub fn clean(protocol: P, seed: u64) -> Self
-    where
-        P: CleanInit,
-    {
-        let counts = CountConfiguration::from_clean_init(&protocol);
-        Self::new(protocol, counts, seed)
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The current configuration, as state counts.
-    pub fn counts(&self) -> &CountConfiguration {
-        &self.counts
-    }
-
-    /// Materializes the current configuration per agent (ordered by state
-    /// index; agents are anonymous).
-    pub fn to_configuration(&self) -> Configuration<P::State> {
-        self.counts.to_configuration(&self.protocol)
-    }
-
-    /// Number of interactions executed (batched silent runs included).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Number of non-silent interactions actually executed — the quantity
-    /// the engine's running time is proportional to.
-    ///
-    /// "Non-silent" means the pair was not *declared* silent: an executed
-    /// interaction of a randomized pair may still map the pair to itself.
-    pub fn active_interactions(&self) -> u64 {
-        self.active_interactions
-    }
-
-    /// Parallel time elapsed so far (interactions divided by `n`).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.counts.population() as f64
+            telemetry,
+        }
     }
 
     /// The probability that the next uniformly random ordered pair is
@@ -646,7 +538,7 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
     /// (the weight of the occupied non-silent pairs over all `n(n−1)`
     /// ordered pairs). [`crate::AdaptiveSimulation`] reads this to decide
     /// when the batched engine should hand off to the multi-batch engine.
-    pub fn active_fraction(&self) -> f64 {
+    pub(crate) fn active_fraction(&self) -> f64 {
         // f64 division; the u64 product n(n−1) would overflow past n ≈ 2³².
         let n = self.counts.population() as f64;
         self.pairs.total_weight() as f64 / (n * (n - 1.0))
@@ -660,7 +552,7 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
     /// where this one stopped. The interaction counter is *not* carried —
     /// the adaptive engine keeps absolute indices by summing retired
     /// engines' counters.
-    pub fn into_parts(self) -> (P, CountConfiguration) {
+    pub(crate) fn into_parts(self) -> (P, CountConfiguration) {
         (self.protocol, self.counts)
     }
 
@@ -676,8 +568,10 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
 
     /// Advances by one batch: a sampled run of silent interactions followed
     /// by one non-silent interaction, truncated to `budget` interactions in
-    /// total.
-    fn advance_batch(&mut self, budget: u64) -> BatchOutcome {
+    /// total. Returns `(executed, stalled)` as [`CountTier::advance`]:
+    /// stalled means no non-silent state pair is occupied, so the whole
+    /// budget was consumed as silence.
+    fn advance_batch(&mut self, budget: u64) -> (u64, bool) {
         debug_assert!(budget > 0);
         let n = self.counts.population();
         // The exact n(n−1) overflows u64 past n ≈ 2³²; the ratio below only
@@ -691,11 +585,7 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
             self.telemetry.count(Counter::BatchedStalls, 1);
             self.telemetry.count(Counter::BatchedInteractions, budget);
             self.telemetry.count(Counter::BatchedSilentSkipped, budget);
-            return BatchOutcome {
-                executed: budget,
-                changed: false,
-                stalled: true,
-            };
+            return (budget, true);
         }
         let p_active = total_weight as f64 / total_pairs;
         let silent = if p_active >= 1.0 {
@@ -712,11 +602,7 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
             self.telemetry.count(Counter::BatchedTruncatedRuns, 1);
             self.telemetry.count(Counter::BatchedInteractions, budget);
             self.telemetry.count(Counter::BatchedSilentSkipped, budget);
-            return BatchOutcome {
-                executed: budget,
-                changed: false,
-                stalled: false,
-            };
+            return (budget, false);
         }
         // The non-silent interaction: pick the state pair with probability
         // proportional to its weight, then apply the transition. With a
@@ -760,7 +646,6 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
         self.pairs
             .note_counts_changed(&self.protocol, &self.counts, &affected[..distinct]);
         self.interactions += silent + 1;
-        self.active_interactions += 1;
         if self.telemetry.is_enabled() {
             self.telemetry
                 .count(Counter::BatchedInteractions, silent + 1);
@@ -771,136 +656,102 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
                 .count(Counter::BatchedFenwickUpdates, updates - self.fenwick_seen);
             self.fenwick_seen = updates;
         }
-        BatchOutcome {
-            executed: silent + 1,
-            changed: true,
-            stalled: false,
-        }
+        (silent + 1, false)
+    }
+}
+
+impl<P: EnumerableProtocol> CountTier<P> for BatchSimulation<P> {
+    fn advance(&mut self, cap: u64) -> (u64, bool) {
+        self.advance_batch(cap)
     }
 
-    /// Executes exactly `budget` interactions (batching silent runs) and
-    /// returns the number of non-silent ones among them.
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let _span = self.telemetry.span(SpanKind::BatchedRun);
-        let before = self.active_interactions;
-        let mut done = 0;
-        while done < budget {
-            done += self.advance_batch(budget - done).executed;
-        }
-        self.active_interactions - before
+    fn span(&self) -> (&Telemetry, SpanKind) {
+        (&self.telemetry, SpanKind::BatchedRun)
+    }
+}
+
+impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
+    fn protocol(&self) -> &P {
+        &self.protocol
     }
 
-    /// Runs until `pred` holds for the current count configuration or
-    /// `budget` interactions have been executed by this call.
-    ///
-    /// Because silent interactions cannot change the configuration, the
-    /// predicate is evaluated only after state changes; the reported
-    /// [`RunOutcome::interactions`] count is nevertheless exact — and, as in
-    /// the per-agent engine, it is **relative**: the number of interactions
-    /// executed *by this call*, not the absolute interaction index (contrast
-    /// [`StabilizationResult::stabilized_at`], which is absolute).
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::BatchedRun);
-        let mut done = 0;
-        loop {
-            if pred(&self.counts) {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            let batch = self.advance_batch(budget - done);
-            done += batch.executed;
-            if batch.stalled {
-                // The predicate is false and no transition can ever fire
-                // again; the budget has been consumed as silence.
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-        }
+    fn counts(&self) -> &CountConfiguration {
+        &self.counts
     }
 
-    /// Measures the stabilization time of the output predicate `pred`, with
-    /// the same semantics as [`crate::Simulation::measure_stabilization`]:
-    /// [`StabilizationResult::stabilized_at`] is an **absolute** interaction
-    /// index (counted from the construction of the simulation, so a
-    /// warm-started measurement includes the interactions executed before
-    /// this call), while [`StabilizationResult::interactions`] is relative —
-    /// the number executed by this call alone. The run stops early once the
-    /// predicate has held for `opts.confirm_window` consecutive interactions.
-    ///
-    /// `opts.check_every` is ignored: silent interactions cannot change the
-    /// predicate, so checking after every state change is both exact and
-    /// free, a strict improvement over sampled checking.
-    pub fn measure_stabilization<F>(
+    fn to_configuration(&self) -> Configuration<P::State> {
+        self.counts.to_configuration(&self.protocol)
+    }
+
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn predicate_granularity(&self) -> PredicateGranularity {
+        PredicateGranularity::Interaction
+    }
+
+    fn run(&mut self, budget: u64) -> u64 {
+        run_counts(self, budget)
+    }
+
+    fn run_until(
         &mut self,
-        mut pred: F,
+        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
+        budget: u64,
+    ) -> RunOutcome {
+        run_until_counts(self, pred, budget)
+    }
+
+    fn measure_stabilization(
+        &mut self,
+        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::BatchedRun);
-        let n = self.counts.population() as usize;
-        let start = self.interactions;
-        let mut detector = StabilizationDetector::new();
-        detector.observe(start, pred(&self.counts));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            let now = start + executed;
-            let mut cap = opts.budget - executed;
-            if detector.satisfied_now() {
-                let held = detector.consecutive(now);
-                if held >= opts.confirm_window {
-                    break;
-                }
-                // No need to simulate past the end of the confirmation
-                // window: if the run stays silent that long, we are done.
-                cap = cap.min(opts.confirm_window - held);
-            }
-            let batch = self.advance_batch(cap);
-            executed += batch.executed;
-            detector.observe(start + executed, pred(&self.counts));
-            if batch.stalled {
-                // The current predicate value holds forever.
-                break;
-            }
-        }
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
+    ) -> StabilizationResult {
+        measure_counts(self, pred, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineKind, SimBuilder};
     use crate::epidemic::{OneWayEpidemic, TwoWayEpidemic};
-    use crate::protocol::{AgentId, Protocol};
+    use crate::protocol::{AgentId, CleanInit, Protocol};
+
+    /// A clean-start engine built as `SimBuilder` builds it, kept concrete
+    /// so tests can inspect the pair index.
+    fn clean<P: EnumerableProtocol + CleanInit>(
+        protocol: P,
+        seed: u64,
+        telemetry: &Telemetry,
+    ) -> BatchSimulation<P> {
+        let counts = CountConfiguration::from_clean_init(&protocol);
+        BatchSimulation::from_parts(protocol, counts, seed, telemetry.clone())
+    }
+
+    fn all_informed(c: &CountConfiguration) -> bool {
+        c.count(1) == c.population()
+    }
+
+    /// Non-silent interactions executed so far, from the telemetry counter.
+    fn active(telemetry: &Telemetry) -> u64 {
+        telemetry
+            .report()
+            .expect("enabled handle")
+            .counter(Counter::BatchedActiveInteractions)
+    }
 
     #[test]
     fn batched_epidemic_reaches_everyone() {
-        let p = OneWayEpidemic::new(256, 1);
-        let mut sim = BatchSimulation::clean(p, 7);
-        let out = sim.run_until(|c| c.count(1) == c.population(), 10_000_000);
+        let telemetry = Telemetry::enabled();
+        let mut sim = clean(OneWayEpidemic::new(256, 1), 7, &telemetry);
+        let out = sim.run_until(&mut all_informed, 10_000_000);
         assert!(out.satisfied);
         assert_eq!(sim.counts().count(1), 256);
         assert_eq!(sim.counts().count(0), 0);
         // Exactly n - 1 interactions can inform a new agent.
-        assert_eq!(sim.active_interactions(), 255);
+        assert_eq!(active(&telemetry), 255);
         // But the epidemic needs far more interactions in total.
         assert!(out.interactions > 255, "got {}", out.interactions);
         assert_eq!(sim.interactions(), out.interactions);
@@ -909,19 +760,18 @@ mod tests {
     #[test]
     fn stalled_configuration_consumes_budget_silently() {
         // Everyone already informed: every pair is silent.
-        let p = TwoWayEpidemic::new(64, 64);
-        let mut sim = BatchSimulation::clean(p, 3);
-        let active = sim.run(1_000_000);
-        assert_eq!(active, 0);
+        let telemetry = Telemetry::enabled();
+        let mut sim = clean(TwoWayEpidemic::new(64, 64), 3, &telemetry);
+        sim.run(1_000_000);
+        assert_eq!(active(&telemetry), 0);
         assert_eq!(sim.interactions(), 1_000_000);
         assert_eq!(sim.counts().count(1), 64);
     }
 
     #[test]
     fn run_until_budget_exhaustion_reports_unsatisfied() {
-        let p = OneWayEpidemic::new(64, 1);
-        let mut sim = BatchSimulation::clean(p, 5);
-        let out = sim.run_until(|c| c.count(1) == c.population(), 10);
+        let mut sim = clean(OneWayEpidemic::new(64, 1), 5, &Telemetry::disabled());
+        let out = sim.run_until(&mut all_informed, 10);
         assert!(!out.satisfied);
         assert_eq!(out.interactions, 10);
     }
@@ -929,9 +779,8 @@ mod tests {
     #[test]
     fn fixed_seed_is_deterministic() {
         let run = |seed: u64| {
-            let p = OneWayEpidemic::new(128, 1);
-            let mut sim = BatchSimulation::clean(p, seed);
-            let out = sim.run_until(|c| c.count(1) == c.population(), 10_000_000);
+            let mut sim = clean(OneWayEpidemic::new(128, 1), seed, &Telemetry::disabled());
+            let out = sim.run_until(&mut all_informed, 10_000_000);
             (out.interactions, sim.counts().clone())
         };
         assert_eq!(run(11), run(11));
@@ -940,10 +789,9 @@ mod tests {
 
     #[test]
     fn measure_stabilization_finds_epidemic_completion() {
-        let p = TwoWayEpidemic::new(128, 1);
-        let mut sim = BatchSimulation::clean(p, 3);
+        let mut sim = clean(TwoWayEpidemic::new(128, 1), 3, &Telemetry::disabled());
         let opts = StabilizationOptions::new(128, 10_000_000).confirm_window(5_000);
-        let res = sim.measure_stabilization(|c| c.count(1) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut all_informed, opts);
         assert!(res.stabilized());
         let t = res.stabilized_at.unwrap();
         assert!(t > 0 && t < 10_000_000);
@@ -955,10 +803,9 @@ mod tests {
     fn measure_stabilization_short_circuits_on_stall() {
         // All informed from the start: predicate holds and nothing can ever
         // change, so the measurement may stop well before the budget.
-        let p = TwoWayEpidemic::new(32, 32);
-        let mut sim = BatchSimulation::clean(p, 1);
+        let mut sim = clean(TwoWayEpidemic::new(32, 32), 1, &Telemetry::disabled());
         let opts = StabilizationOptions::new(32, u64::MAX / 2).confirm_window(1_000);
-        let res = sim.measure_stabilization(|c| c.count(1) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut all_informed, opts);
         assert!(res.stabilized());
         assert_eq!(res.stabilized_at, Some(0));
         assert!(res.interactions <= 1_000);
@@ -967,17 +814,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match")]
     fn mismatched_population_panics() {
-        let p = OneWayEpidemic::new(8, 1);
-        let counts = CountConfiguration::from_counts(vec![3, 1]);
-        let _ = BatchSimulation::new(p, counts, 0);
+        let _ = SimBuilder::new(OneWayEpidemic::new(8, 1))
+            .counts(CountConfiguration::from_counts(vec![3, 1]))
+            .kind(EngineKind::Batched)
+            .build();
     }
 
     #[test]
     #[should_panic(expected = "state space")]
     fn mismatched_state_space_panics() {
-        let p = OneWayEpidemic::new(8, 1);
-        let counts = CountConfiguration::from_counts(vec![4, 3, 1]);
-        let _ = BatchSimulation::new(p, counts, 0);
+        let _ = SimBuilder::new(OneWayEpidemic::new(8, 1))
+            .counts(CountConfiguration::from_counts(vec![4, 3, 1]))
+            .kind(EngineKind::Batched)
+            .build();
     }
 
     /// `k`-state cyclic drift: the initiator advances one step modulo `k`.
@@ -1020,8 +869,7 @@ mod tests {
 
     #[test]
     fn sparse_pair_index_stays_consistent_under_churn() {
-        let p = Drift { n: 24, k: 7 };
-        let mut sim = BatchSimulation::clean(p, 9);
+        let mut sim = clean(Drift { n: 24, k: 7 }, 9, &Telemetry::disabled());
         for _ in 0..500 {
             sim.run(1);
             sim.pairs.assert_consistent(&sim.protocol, &sim.counts);
@@ -1031,8 +879,7 @@ mod tests {
 
     #[test]
     fn pair_index_compaction_preserves_weights() {
-        let p = Drift { n: 24, k: 7 };
-        let mut sim = BatchSimulation::clean(p, 3);
+        let mut sim = clean(Drift { n: 24, k: 7 }, 3, &Telemetry::disabled());
         sim.run(2_000);
         let total = sim.pairs.total_weight();
         sim.pairs.compact();
@@ -1089,26 +936,35 @@ mod tests {
         let n = 2 * half; // 2³⁴ > u32::MAX
         let p = OneWayEpidemic::new(n as usize, half as usize);
         let counts = CountConfiguration::from_counts(vec![half, half]);
-        let mut sim = BatchSimulation::new(p, counts, 21);
+        let telemetry = Telemetry::enabled();
+        let mut sim = BatchSimulation::from_parts(p, counts, 21, telemetry.clone());
         let expected_weight = u128::from(half) * u128::from(half);
         assert_eq!(sim.pairs.total_weight(), expected_weight);
         assert!(expected_weight > u128::from(u64::MAX));
         let frac = sim.active_fraction();
         assert!(frac > 0.24 && frac < 0.26, "activity ≈ 1/4, got {frac}");
-        let active = sim.run(400);
+        sim.run(400);
         assert_eq!(sim.interactions(), 400);
-        assert!(active > 0, "expected ≈100 infections in 400 interactions");
-        assert_eq!(sim.counts().count(1), half + active);
+        let infections = active(&telemetry);
+        assert!(
+            infections > 0,
+            "expected ≈100 infections in 400 interactions"
+        );
+        assert_eq!(sim.counts().count(1), half + infections);
         sim.pairs.assert_consistent(&sim.protocol, &sim.counts);
     }
 
     #[test]
     fn try_new_rejects_populations_past_the_engine_bound() {
         use crate::count_config::MAX_POPULATION;
+        use crate::SimError;
         let over = MAX_POPULATION / 2 + 1;
         let p = OneWayEpidemic::new((2 * over) as usize, over as usize);
         let counts = CountConfiguration::from_counts(vec![over, over]);
-        let err = BatchSimulation::try_new(p, counts, 0).unwrap_err();
+        let builder = SimBuilder::new(p).kind(EngineKind::Batched).counts(counts);
+        let Err(err) = builder.try_build() else {
+            panic!("population past MAX_POPULATION accepted");
+        };
         assert_eq!(
             err,
             SimError::UnsupportedPopulation {

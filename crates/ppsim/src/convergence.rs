@@ -69,9 +69,10 @@ pub struct StabilizationResult {
     /// The **absolute** interaction index — counted from the construction of
     /// the simulation, including interactions executed before the measuring
     /// call — at which the output predicate became true and stayed true
-    /// until the end of the run, if it did. Both engines
-    /// ([`crate::Simulation`] and [`crate::BatchSimulation`]) follow this
-    /// convention, so warm-started measurements are comparable across them.
+    /// until the end of the run, if it did. Every engine
+    /// ([`crate::Simulation`] and each [`crate::EngineKind`] tier) follows
+    /// this convention, so warm-started measurements are comparable across
+    /// them.
     pub stabilized_at: Option<u64>,
     /// Population size, for converting to parallel time.
     pub n: usize,

@@ -3,10 +3,10 @@
 //! A population of anonymous agents is fully described by *how many* agents
 //! occupy each state — the multiset view `c : Q → ℕ` with `Σ c(q) = n` — and
 //! for protocols with an enumerable state space this is the representation
-//! the batched engine ([`crate::BatchSimulation`]) runs on: updating a
-//! transition touches four counters instead of two `Vec` slots, and the
-//! memory footprint is `O(|Q|)` instead of `O(n)`, so populations of 10⁶–10⁸
-//! agents cost the same as tiny ones.
+//! the count tiers ([`crate::batched`], [`crate::multibatch`]) run on:
+//! updating a transition touches four counters instead of two `Vec` slots,
+//! and the memory footprint is `O(|Q|)` instead of `O(n)`, so populations of
+//! 10⁶–10⁸ agents cost the same as tiny ones.
 //!
 //! [`CountConfiguration`] converts losslessly (up to agent order, which the
 //! model deems meaningless) to and from the per-agent [`Configuration`].
@@ -293,7 +293,7 @@ impl CountConfiguration {
     /// must have equal totals (the population is conserved); entries may
     /// repeat a state, and their order is irrelevant.
     ///
-    /// Used by the multi-batch engine ([`crate::MultiBatchSimulation`]),
+    /// Used by the multi-batch engine ([`crate::multibatch`]),
     /// which resolves all interactions of an epoch on the *pre-epoch* counts
     /// and only then applies the net effect — removals are the batch's drawn
     /// agents, additions their transition outcomes.
@@ -324,12 +324,12 @@ impl CountConfiguration {
     }
 }
 
-/// Validates that `counts` is a usable initial configuration for a count
-/// engine over `protocol` — shared by every engine constructor so all tiers
+/// Validates that `counts` is a usable initial configuration for an engine
+/// over `protocol` — checked once by `SimBuilder::try_build`, so all tiers
 /// accept and reject inputs identically.
 ///
-/// The error `reason` strings are stable: engine `new` constructors surface
-/// them verbatim in panics, and downstream tests match on their substrings.
+/// The error `reason` strings are stable: `SimBuilder::build` surfaces them
+/// verbatim in panics, and downstream tests match on their substrings.
 pub(crate) fn validate_engine_inputs<P: EnumerableProtocol>(
     protocol: &P,
     counts: &CountConfiguration,
@@ -354,14 +354,21 @@ pub(crate) fn validate_engine_inputs<P: EnumerableProtocol>(
             ),
         });
     }
-    if counts.population() < 2 {
+    validate_population(counts.population())
+}
+
+/// Validates a population size against the bounds every engine shares: the
+/// uniform scheduler needs two agents, and exact count arithmetic stops at
+/// [`MAX_POPULATION`].
+pub(crate) fn validate_population(n: u64) -> Result<(), SimError> {
+    if n < 2 {
         return Err(SimError::InvalidParameters {
             reason: "the uniform scheduler requires at least two agents".into(),
         });
     }
-    if counts.population() > MAX_POPULATION {
+    if n > MAX_POPULATION {
         return Err(SimError::UnsupportedPopulation {
-            population: counts.population(),
+            population: n,
             limit: MAX_POPULATION,
         });
     }

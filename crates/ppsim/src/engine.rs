@@ -1,51 +1,48 @@
-//! The unified engine API: one trait over every simulation engine, a
-//! builder that replaces per-engine constructor plumbing, and the adaptive
-//! auto-switching engine.
+//! The unified engine API: one trait over every simulation engine, the one
+//! builder that constructs them, and the adaptive auto-switching engine.
 //!
-//! `ppsim` grew three engines — the per-agent [`Simulation`], the silent-run
-//! skipping [`BatchSimulation`], and the collision-sampling
-//! [`MultiBatchSimulation`] — that share their `run` / `run_until` /
-//! `measure_stabilization` surface only by convention, leaving every caller
-//! to hand-dispatch over an engine enum. This module makes the convention a
-//! contract:
+//! * [`SimulationEngine`] — the shared run surface as an object-safe trait,
+//!   with predicates over [`CountConfiguration`] (the representation every
+//!   engine can serve) and an explicit
+//!   [`SimulationEngine::predicate_granularity`] so callers can see *when*
+//!   their predicate is actually observed,
+//! * [`EngineKind`] — the tier selector: [`EngineKind::PerStep`],
+//!   [`EngineKind::Batched`], [`EngineKind::MultiBatch`] and
+//!   [`EngineKind::Auto`],
+//! * [`SimBuilder`] — protocol + init + seed + kind → engine, and the only
+//!   way to construct one: [`SimBuilder::try_build`] validates the inputs
+//!   once, for every tier,
+//! * [`AdaptiveSimulation`] — the `Auto` tier as a concrete type (from
+//!   [`SimBuilder::build_adaptive`]), for handoff introspection: it runs the
+//!   multi-batch engine while the measured active-interaction fraction is
+//!   high and hands the count vector to the batched engine (and back) at a
+//!   hysteresis threshold, preserving exact budget accounting and absolute
+//!   interaction indices across the handoff.
 //!
-//! * [`SimulationEngine`] — the shared surface as an object-safe trait, with
-//!   predicates over [`CountConfiguration`] (the representation every engine
-//!   can serve) and an explicit [`SimulationEngine::predicate_granularity`]
-//!   so callers can see *when* their predicate is actually observed,
-//! * [`EngineKind`] — the engine selector, including the [`EngineKind::Auto`]
-//!   tier,
-//! * [`SimBuilder`] — protocol + init + seed + kind → boxed engine, replacing
-//!   the ad-hoc `new` / `from_configuration` / `clean` constructor trio at
-//!   call sites,
-//! * [`PerStepEngine`] — the per-agent engine behind the count-predicate
-//!   surface: a [`Simulation`] plus an incrementally maintained count mirror
-//!   (two `encode` calls per interaction), so per-step runs serve the same
-//!   predicates as the count engines at O(1) per check,
-//! * [`AdaptiveSimulation`] — the `Auto` tier: runs the multi-batch engine
-//!   while the measured active-interaction fraction is high and hands the
-//!   count vector off to the batched engine (and back) at a hysteresis
-//!   threshold, preserving exact budget accounting and absolute interaction
-//!   indices across the handoff.
+//! The per-step tier wraps a [`Simulation`] in an incrementally maintained
+//! count mirror (two `encode` calls per interaction), so per-step runs serve
+//! the same count predicates as the count tiers at O(1) per check. The three
+//! count tiers — batched, multi-batch and auto — differ only in how they
+//! take one step; one `run`, `run_until` and `measure_stabilization` loop
+//! drives all three.
 //!
 //! # Predicate granularity
 //!
 //! The engines observe stop/stabilization predicates at different points,
 //! and this is the **one** place the contract is written down:
 //!
-//! * [`BatchSimulation`] evaluates predicates after every state-changing
+//! * [`EngineKind::Batched`] evaluates predicates after every state-changing
 //!   interaction — exact, because silent interactions cannot change the
 //!   configuration ([`PredicateGranularity::Interaction`]).
-//! * [`PerStepEngine`] evaluates predicates every `check_every` interactions
+//! * [`EngineKind::PerStep`] evaluates predicates every
+//!   [`SimBuilder::check_every`] interactions
 //!   ([`PredicateGranularity::Every`]): hitting times overshoot by less than
-//!   the stride. This is the coarse-checking contract that
-//!   [`crate::epidemic::measure_epidemic_time_coarse`] exposes for epidemic
-//!   workloads, routed through this engine.
-//! * [`MultiBatchSimulation`] evaluates predicates at epoch commits — the
+//!   the stride.
+//! * [`EngineKind::MultiBatch`] evaluates predicates at epoch commits — the
 //!   interactions inside an epoch have no defined intermediate order — so
 //!   hitting times carry `O(√n)` observation granularity
 //!   ([`PredicateGranularity::EpochCommit`]).
-//! * [`AdaptiveSimulation`] reports the granularity of whichever engine is
+//! * [`EngineKind::Auto`] reports the granularity of whichever engine is
 //!   currently active.
 //!
 //! `StabilizationOptions::check_every` is honored by the per-step engine
@@ -72,7 +69,7 @@
 use crate::batched::BatchSimulation;
 use crate::configuration::Configuration;
 use crate::convergence::{StabilizationDetector, StabilizationResult};
-use crate::count_config::CountConfiguration;
+use crate::count_config::{validate_engine_inputs, validate_population, CountConfiguration};
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
 use crate::metrics::InteractionMetrics;
@@ -80,22 +77,22 @@ use crate::multibatch::MultiBatchSimulation;
 use crate::protocol::CleanInit;
 use crate::rng::derive_seed;
 use crate::simulation::{RunOutcome, Simulation, StabilizationOptions};
-use crate::telemetry::{BalanceSummary, Counter, SpanKind, Telemetry};
+use crate::telemetry::{BalanceSummary, Counter, SpanGuard, SpanKind, Telemetry};
 use serde::Serialize;
 
 /// The simulation engine a run executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EngineKind {
-    /// The per-agent engine ([`Simulation`], served through
-    /// [`PerStepEngine`]): pays for every interaction, works for any
-    /// enumerable protocol, exact per-agent trajectories.
+    /// The per-agent engine: a [`Simulation`] plus a count mirror. Pays for
+    /// every interaction, works for any enumerable protocol, exact per-agent
+    /// trajectories.
     PerStep,
-    /// The batched count-based engine ([`BatchSimulation`]): skips silent
+    /// The batched count-based engine ([`crate::batched`]): skips silent
     /// runs geometrically, pays per state-changing interaction.
     Batched,
-    /// The multi-batch collision sampler ([`MultiBatchSimulation`]):
-    /// resolves `Θ(√n)`-interaction epochs per statistical draw, pays per
-    /// epoch regardless of how many interactions change state.
+    /// The multi-batch collision sampler ([`crate::multibatch`]): resolves
+    /// `Θ(√n)`-interaction epochs per statistical draw, pays per epoch
+    /// regardless of how many interactions change state.
     MultiBatch,
     /// The adaptive engine ([`AdaptiveSimulation`]): multi-batch while the
     /// measured active-interaction fraction is high, batched once silence
@@ -148,10 +145,10 @@ pub enum PredicateGranularity {
 ///
 /// Predicates are functions of the [`CountConfiguration`] — the one
 /// representation all engines can serve (the per-step engine maintains an
-/// exact count mirror, see [`PerStepEngine`]). They are taken as
-/// `&mut dyn FnMut` so the trait stays object-safe and a
-/// [`SimBuilder`]-built `Box<dyn SimulationEngine<P>>` exposes the full
-/// surface; pass a closure as `&mut |c| ...`.
+/// exact count mirror). They are taken as `&mut dyn FnMut` so the trait
+/// stays object-safe and a [`SimBuilder`]-built
+/// `Box<dyn SimulationEngine<P>>` exposes the full surface; pass a closure
+/// as `&mut |c| ...`.
 ///
 /// Interaction-index conventions are shared across all implementations:
 /// [`RunOutcome::interactions`] and [`StabilizationResult::interactions`]
@@ -185,20 +182,17 @@ pub trait SimulationEngine<P: EnumerableProtocol> {
     ///
     /// The granularity is also the engine's *observability* contract:
     /// anything finer than it simply does not exist in the engine's state.
-    /// In particular, per-agent [`crate::metrics::InteractionMetrics`] are
-    /// available only from the per-step engine (enable them through
-    /// [`SimBuilder::telemetry`] and read them via
-    /// [`PerStepEngine::interaction_metrics`]) — the count engines treat
-    /// agents as anonymous multiplicities, so a batched or epoch-commit
-    /// granularity implies there is no per-agent interaction load to report,
-    /// at any price. The telemetry deterministic stream carries an
-    /// `interaction_balance` summary only for per-step runs for the same
-    /// reason.
+    /// In particular, per-agent interaction load is available only from the
+    /// per-step engine (enable telemetry through [`SimBuilder::telemetry`]
+    /// and read [`crate::TelemetryReport::balance`]) — the count engines
+    /// treat agents as anonymous multiplicities, so a batched or
+    /// epoch-commit granularity implies there is no per-agent interaction
+    /// load to report, at any price.
     fn predicate_granularity(&self) -> PredicateGranularity;
 
     /// Executes up to `budget` interactions unconditionally and returns the
-    /// number executed (always `budget` except for a per-step engine whose
-    /// scripted scheduler ran out).
+    /// number executed (always `budget`: the builder only ever runs the
+    /// uniform scheduler, which never runs out).
     fn run(&mut self, budget: u64) -> u64;
 
     /// Runs until `pred` holds or `budget` interactions have been executed
@@ -223,84 +217,135 @@ pub trait SimulationEngine<P: EnumerableProtocol> {
     ) -> StabilizationResult;
 }
 
-impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
-    fn protocol(&self) -> &P {
-        BatchSimulation::protocol(self)
+/// One step of a count tier — the only part of the run surface the batched,
+/// multi-batch and auto tiers implement separately. [`run_counts`],
+/// [`run_until_counts`] and [`measure_counts`] are written once over it.
+pub(crate) trait CountTier<P: EnumerableProtocol>: SimulationEngine<P> {
+    /// Advances by at most `cap > 0` interactions and returns `(executed,
+    /// stalled)`: `executed ≥ 1`, and `stalled` means no transition can ever
+    /// fire again (the whole `cap` was consumed as silence).
+    fn advance(&mut self, cap: u64) -> (u64, bool);
+
+    /// The telemetry handle, and the span kind the current mode's wall time
+    /// is recorded under.
+    fn span(&self) -> (&Telemetry, SpanKind);
+}
+
+/// A wall-clock span over one run call that follows the tier's mode: an
+/// Auto handoff closes it and opens one under the new mode's kind.
+struct ModeSpan {
+    kind: SpanKind,
+    _guard: SpanGuard,
+}
+
+impl ModeSpan {
+    fn open<P: EnumerableProtocol>(engine: &impl CountTier<P>) -> Self {
+        let (telemetry, kind) = engine.span();
+        ModeSpan {
+            kind,
+            _guard: telemetry.span(kind),
+        }
     }
-    fn counts(&self) -> &CountConfiguration {
-        BatchSimulation::counts(self)
-    }
-    fn to_configuration(&self) -> Configuration<P::State> {
-        BatchSimulation::to_configuration(self)
-    }
-    fn interactions(&self) -> u64 {
-        BatchSimulation::interactions(self)
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        PredicateGranularity::Interaction
-    }
-    fn run(&mut self, budget: u64) -> u64 {
-        BatchSimulation::run(self, budget);
-        budget
-    }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        BatchSimulation::run_until(self, |c| pred(c), budget)
-    }
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        BatchSimulation::measure_stabilization(self, |c| pred(c), opts)
+
+    fn follow<P: EnumerableProtocol>(&mut self, engine: &impl CountTier<P>) {
+        if engine.span().1 != self.kind {
+            *self = ModeSpan::open(engine);
+        }
     }
 }
 
-impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
-    fn protocol(&self) -> &P {
-        MultiBatchSimulation::protocol(self)
+/// [`SimulationEngine::run`] for the count tiers: exactly `budget`
+/// interactions.
+pub(crate) fn run_counts<P: EnumerableProtocol>(
+    engine: &mut impl CountTier<P>,
+    budget: u64,
+) -> u64 {
+    let mut span = ModeSpan::open(engine);
+    let mut done = 0;
+    while done < budget {
+        done += engine.advance(budget - done).0;
+        span.follow(engine);
     }
-    fn counts(&self) -> &CountConfiguration {
-        MultiBatchSimulation::counts(self)
+    budget
+}
+
+/// [`SimulationEngine::run_until`] for the count tiers: `pred` is observed
+/// after every step, which is exact for the batched tier (silence cannot
+/// change the configuration) and epoch-granular for the multi-batch tier. A
+/// stalled tier returns at once with the budget consumed as silence.
+pub(crate) fn run_until_counts<P: EnumerableProtocol>(
+    engine: &mut impl CountTier<P>,
+    pred: &mut dyn FnMut(&CountConfiguration) -> bool,
+    budget: u64,
+) -> RunOutcome {
+    let mut span = ModeSpan::open(engine);
+    let mut done = 0;
+    let satisfied = loop {
+        if pred(engine.counts()) {
+            break true;
+        }
+        if done >= budget {
+            break false;
+        }
+        let (executed, stalled) = engine.advance(budget - done);
+        done += executed;
+        span.follow(engine);
+        if stalled {
+            // The predicate is false and no transition can ever fire again.
+            break false;
+        }
+    };
+    RunOutcome {
+        interactions: done,
+        satisfied,
     }
-    fn to_configuration(&self) -> Configuration<P::State> {
-        MultiBatchSimulation::to_configuration(self)
-    }
-    fn interactions(&self) -> u64 {
-        MultiBatchSimulation::interactions(self)
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        PredicateGranularity::EpochCommit {
-            expected_interactions: expected_epoch_length(self.counts().population()),
+}
+
+/// [`SimulationEngine::measure_stabilization`] for the count tiers.
+///
+/// `pred` is observed after every step (`opts.check_every` is ignored). Once
+/// it holds, steps are capped at the rest of the confirmation window, so a
+/// long silent confirmation costs one truncated step — truncation is exact
+/// in every tier. A stall ends the run: the current value holds forever.
+pub(crate) fn measure_counts<P: EnumerableProtocol>(
+    engine: &mut impl CountTier<P>,
+    pred: &mut dyn FnMut(&CountConfiguration) -> bool,
+    opts: StabilizationOptions,
+) -> StabilizationResult {
+    let mut span = ModeSpan::open(engine);
+    let n = engine.counts().population() as usize;
+    let start = engine.interactions();
+    let mut detector = StabilizationDetector::new();
+    detector.observe(start, pred(engine.counts()));
+    let mut executed = 0u64;
+    while executed < opts.budget {
+        let mut cap = opts.budget - executed;
+        if detector.satisfied_now() {
+            let held = detector.consecutive(start + executed);
+            if held >= opts.confirm_window {
+                break;
+            }
+            cap = cap.min(opts.confirm_window - held);
+        }
+        let (stepped, stalled) = engine.advance(cap);
+        executed += stepped;
+        span.follow(engine);
+        detector.observe(start + executed, pred(engine.counts()));
+        if stalled {
+            break;
         }
     }
-    fn run(&mut self, budget: u64) -> u64 {
-        MultiBatchSimulation::run(self, budget);
-        budget
-    }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        MultiBatchSimulation::run_until(self, |c| pred(c), budget)
-    }
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        MultiBatchSimulation::measure_stabilization(self, |c| pred(c), opts)
+    StabilizationResult {
+        interactions: executed,
+        stabilized_at: detector.stabilized_at(),
+        n,
     }
 }
 
 /// The expected multi-batch epoch length at population size `n`
 /// (`≈ 0.63·√n` by the birthday bound), as advertised through
 /// [`PredicateGranularity::EpochCommit`].
-fn expected_epoch_length(n: u64) -> u64 {
+pub(crate) fn expected_epoch_length(n: u64) -> u64 {
     ((0.6321 * (n as f64).sqrt()).ceil() as u64).max(1)
 }
 
@@ -309,7 +354,7 @@ fn expected_epoch_length(n: u64) -> u64 {
 ///
 /// This is the activity measure [`AdaptiveSimulation`] uses while the
 /// multi-batch engine is active (the batched engine answers the same
-/// question exactly in O(1) via [`BatchSimulation::active_fraction`]).
+/// question exactly in O(1) from its pair weights).
 fn measured_active_fraction<P: EnumerableProtocol>(
     protocol: &P,
     counts: &CountConfiguration,
@@ -334,22 +379,22 @@ fn measured_active_fraction<P: EnumerableProtocol>(
     weight as f64 / (n as f64 * (n - 1) as f64)
 }
 
-/// The per-agent engine behind the unified count-predicate surface.
+/// The per-step tier: a [`Simulation`] behind the count-predicate surface.
 ///
-/// Wraps a [`Simulation`] and maintains an **exact count mirror** of the
-/// configuration: after every interaction the two touched agents' states are
-/// re-encoded (two [`EnumerableProtocol::encode`] calls) and the four
-/// affected counters updated, so count predicates cost O(occupied states)
-/// per evaluation instead of an O(n) rebuild. The underlying simulation
-/// consumes randomness exactly as a bare [`Simulation`] with the same seed —
-/// trajectories are identical, the mirror is pure bookkeeping.
+/// Maintains an **exact count mirror** of the configuration: after every
+/// interaction the two touched agents' states are re-encoded (two
+/// [`EnumerableProtocol::encode`] calls) and the four affected counters
+/// updated, so count predicates cost O(occupied states) per evaluation
+/// instead of an O(n) rebuild. The underlying simulation consumes randomness
+/// exactly as a bare [`Simulation`] with the same seed — trajectories are
+/// identical, the mirror is pure bookkeeping.
 ///
-/// Predicates are evaluated every [`PerStepEngine::with_check_every`]
-/// interactions (default: every interaction). A stride above 1 trades
-/// hitting-time resolution for fewer predicate evaluations — the coarse
-/// contract documented on [`PredicateGranularity::Every`].
+/// Predicates are evaluated every [`SimBuilder::check_every`] interactions
+/// (default: every interaction). A stride above 1 trades hitting-time
+/// resolution for fewer predicate evaluations — the coarse contract
+/// documented on [`PredicateGranularity::Every`].
 #[derive(Debug)]
-pub struct PerStepEngine<P: EnumerableProtocol> {
+pub(crate) struct PerStepEngine<P: EnumerableProtocol> {
     sim: Simulation<P>,
     counts: CountConfiguration,
     /// `encoded[a]` is the state index agent `a` currently holds — the
@@ -367,81 +412,28 @@ pub struct PerStepEngine<P: EnumerableProtocol> {
 }
 
 impl<P: EnumerableProtocol> PerStepEngine<P> {
-    /// Creates a per-step engine from a per-agent configuration.
-    ///
-    /// # Supported populations
-    ///
-    /// Any `n ≥ 2` that fits in memory — but the engine *is* `O(n)` in both
-    /// memory (the per-agent state vector and its encoded mirror) and time
-    /// (every interaction is executed), so it is practical up to `n ≈ 10⁶`;
-    /// use the count engines ([`BatchSimulation`],
-    /// [`MultiBatchSimulation`], [`AdaptiveSimulation`]) beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration size does not match
-    /// [`crate::Protocol::population_size`].
-    pub fn new(protocol: P, config: Configuration<P::State>, seed: u64) -> Self {
-        let encoded: Vec<usize> = config.iter().map(|s| protocol.encode(s)).collect();
-        let mut counts = vec![0u64; protocol.num_states()];
-        for &index in &encoded {
-            counts[index] += 1;
-        }
+    /// Builds the engine from inputs [`SimBuilder::try_build`] validated:
+    /// `counts` is the count view of `config`. An enabled telemetry handle
+    /// also switches on the per-agent [`InteractionMetrics`].
+    fn from_parts(
+        protocol: P,
+        config: Configuration<P::State>,
+        counts: CountConfiguration,
+        seed: u64,
+        check_every: u64,
+        telemetry: Telemetry,
+    ) -> Self {
+        let encoded = config.iter().map(|s| protocol.encode(s)).collect();
         PerStepEngine {
+            metrics: telemetry
+                .is_enabled()
+                .then(|| InteractionMetrics::new(config.len())),
             sim: Simulation::new(protocol, config, seed),
-            counts: CountConfiguration::from_counts(counts),
+            counts,
             encoded,
-            check_every: 1,
-            telemetry: Telemetry::disabled(),
-            metrics: None,
+            check_every,
+            telemetry,
         }
-    }
-
-    /// Attaches a [`Telemetry`] handle. An enabled handle also switches on
-    /// the per-agent [`InteractionMetrics`] (only this engine can maintain
-    /// them — see [`SimulationEngine::predicate_granularity`]).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = telemetry
-            .is_enabled()
-            .then(|| InteractionMetrics::new(self.encoded.len()));
-        self.telemetry = telemetry;
-    }
-
-    /// The attached [`Telemetry`] handle (disabled unless
-    /// [`Self::set_telemetry`] was called with an enabled one).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// The per-agent interaction load recorded so far — `Some` only while an
-    /// enabled telemetry handle is attached. The count engines cannot offer
-    /// this at any price; see
-    /// [`SimulationEngine::predicate_granularity`].
-    pub fn interaction_metrics(&self) -> Option<&InteractionMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Creates a per-step engine from the protocol's clean initial
-    /// configuration.
-    pub fn clean(protocol: P, seed: u64) -> Self
-    where
-        P: CleanInit,
-    {
-        let config = Configuration::clean(&protocol);
-        Self::new(protocol, config, seed)
-    }
-
-    /// Sets the predicate check stride for `run_until` (clamped to ≥ 1):
-    /// hitting times overshoot by less than the stride.
-    pub fn with_check_every(mut self, every: u64) -> Self {
-        self.check_every = every.max(1);
-        self
-    }
-
-    /// The wrapped per-agent simulation (per-agent metrics, exact
-    /// configuration access).
-    pub fn simulation(&self) -> &Simulation<P> {
-        &self.sim
     }
 
     /// Executes one interaction and updates the count mirror. Returns
@@ -487,10 +479,34 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             });
         }
     }
+}
 
-    /// Executes up to `budget` interactions unconditionally; returns the
-    /// number executed (less only if the scheduler ran out).
-    pub fn run(&mut self, budget: u64) -> u64 {
+impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
+    fn protocol(&self) -> &P {
+        self.sim.protocol()
+    }
+
+    fn counts(&self) -> &CountConfiguration {
+        &self.counts
+    }
+
+    fn to_configuration(&self) -> Configuration<P::State> {
+        Configuration::from_states(self.sim.configuration().as_slice().to_vec())
+    }
+
+    fn interactions(&self) -> u64 {
+        self.sim.interactions()
+    }
+
+    fn predicate_granularity(&self) -> PredicateGranularity {
+        if self.check_every <= 1 {
+            PredicateGranularity::Interaction
+        } else {
+            PredicateGranularity::Every(self.check_every)
+        }
+    }
+
+    fn run(&mut self, budget: u64) -> u64 {
         let _span = self.telemetry.span(SpanKind::PerStepRun);
         let mut done = 0;
         while done < budget && self.step_once() {
@@ -500,30 +516,22 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
         done
     }
 
-    /// Runs until `pred` holds for the count mirror or `budget` interactions
-    /// have been executed by this call, checking `pred` every
-    /// [`PerStepEngine::with_check_every`] interactions.
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
+    /// Checks `pred` every `check_every` interactions, so hitting times
+    /// overshoot by less than the stride.
+    fn run_until(
+        &mut self,
+        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
+        budget: u64,
+    ) -> RunOutcome {
         let _span = self.telemetry.span(SpanKind::PerStepRun);
         let mut done = 0u64;
-        loop {
+        let satisfied = loop {
             self.telemetry.count(Counter::PerStepStrideChecks, 1);
             if pred(&self.counts) {
-                self.flush_balance();
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
+                break true;
             }
             if done >= budget {
-                self.flush_balance();
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
+                break false;
             }
             let chunk = self.check_every.min(budget - done);
             let mut ran = 0u64;
@@ -534,28 +542,23 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             if ran < chunk {
                 // Scheduler exhausted mid-chunk: one final observation.
                 self.telemetry.count(Counter::PerStepStrideChecks, 1);
-                let satisfied = pred(&self.counts);
-                self.flush_balance();
-                return RunOutcome {
-                    interactions: done,
-                    satisfied,
-                };
+                break pred(&self.counts);
             }
+        };
+        self.flush_balance();
+        RunOutcome {
+            interactions: done,
+            satisfied,
         }
     }
 
-    /// Measures the stabilization time of `pred` with the exact semantics of
-    /// [`Simulation::measure_stabilization`] (absolute
-    /// [`StabilizationResult::stabilized_at`], `opts.check_every` honored),
-    /// evaluated on the count mirror.
-    pub fn measure_stabilization<F>(
+    /// The exact semantics of [`Simulation::measure_stabilization`]
+    /// (`opts.check_every` honored), evaluated on the count mirror.
+    fn measure_stabilization(
         &mut self,
-        mut pred: F,
+        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
+    ) -> StabilizationResult {
         let _span = self.telemetry.span(SpanKind::PerStepRun);
         let n = self.counts.population() as usize;
         let start = self.sim.interactions();
@@ -582,45 +585,6 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             stabilized_at: detector.stabilized_at(),
             n,
         }
-    }
-}
-
-impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
-    fn protocol(&self) -> &P {
-        self.sim.protocol()
-    }
-    fn counts(&self) -> &CountConfiguration {
-        &self.counts
-    }
-    fn to_configuration(&self) -> Configuration<P::State> {
-        Configuration::from_states(self.sim.configuration().as_slice().to_vec())
-    }
-    fn interactions(&self) -> u64 {
-        self.sim.interactions()
-    }
-    fn predicate_granularity(&self) -> PredicateGranularity {
-        if self.check_every <= 1 {
-            PredicateGranularity::Interaction
-        } else {
-            PredicateGranularity::Every(self.check_every)
-        }
-    }
-    fn run(&mut self, budget: u64) -> u64 {
-        PerStepEngine::run(self, budget)
-    }
-    fn run_until(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        PerStepEngine::run_until(self, |c| pred(c), budget)
-    }
-    fn measure_stabilization(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        PerStepEngine::measure_stabilization(self, |c| pred(c), opts)
     }
 }
 
@@ -697,12 +661,12 @@ enum ActiveEngine<P: EnumerableProtocol> {
 ///
 /// The engine measures the active-interaction fraction every
 /// [`AdaptiveConfig::check_interval`] interactions and hands the count
-/// vector between [`MultiBatchSimulation`] and [`BatchSimulation`] at the
-/// configured hysteresis thresholds. Handoffs are **exact**: both engines
-/// truncate their batches at arbitrary interaction budgets without biasing
-/// the schedule (geometric silent runs are memoryless, epoch prefixes are
+/// vector between the multi-batch and batched engines at the configured
+/// hysteresis thresholds. Handoffs are **exact**: both engines truncate
+/// their batches at arbitrary interaction budgets without biasing the
+/// schedule (geometric silent runs are memoryless, epoch prefixes are
 /// exchangeable), so the stitched run has exactly the uniform-scheduler
-/// distribution, and [`AdaptiveSimulation::interactions`] /
+/// distribution, and [`SimulationEngine::interactions`] /
 /// [`StabilizationResult::stabilized_at`] stay absolute across handoffs.
 ///
 /// The per-handoff cost is one `O(#occupied states²)` pair-index rebuild
@@ -710,6 +674,11 @@ enum ActiveEngine<P: EnumerableProtocol> {
 /// Each retired engine's RNG is dropped and the successor's is seeded as
 /// `derive_seed(seed, #handoffs)`, so a fixed seed still reproduces the run
 /// bit-for-bit.
+///
+/// Built by [`SimBuilder::build_adaptive`] (this concrete type) or
+/// [`SimBuilder::build`] with [`EngineKind::Auto`] (boxed). It supports
+/// exactly the populations its two inner count engines accept, and inherits
+/// their `O(#occupied states + √n)` memory bound.
 #[derive(Debug)]
 pub struct AdaptiveSimulation<P: EnumerableProtocol> {
     inner: ActiveEngine<P>,
@@ -730,128 +699,57 @@ pub struct AdaptiveSimulation<P: EnumerableProtocol> {
 }
 
 impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
-    /// Creates an adaptive simulation from an explicit count configuration
-    /// with the default [`AdaptiveConfig`].
-    ///
-    /// # Supported populations
-    ///
-    /// `2 ≤ n ≤ 2⁶²` ([`crate::count_config::MAX_POPULATION`]) — the
-    /// adaptive tier accepts exactly what its two inner count engines
-    /// accept, and inherits their `O(#occupied states + √n)` memory bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any input [`Self::try_with_config`] rejects.
-    pub fn new(protocol: P, counts: CountConfiguration, seed: u64) -> Self {
-        Self::with_config(protocol, counts, seed, AdaptiveConfig::default())
-    }
-
-    /// Creates an adaptive simulation with an explicit switching policy,
-    /// returning a typed error on invalid input. The initial engine is
-    /// chosen by measuring the initial activity against
-    /// [`AdaptiveConfig::high_activity`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameters`] for population/state-space mismatches
-    /// (as for [`BatchSimulation::try_new`]) or an inverted
-    /// [`AdaptiveConfig`] hysteresis band;
-    /// [`SimError::UnsupportedPopulation`] past the engine bound.
-    pub fn try_with_config(
+    /// Builds the tier from inputs [`SimBuilder::try_build`] validated, with
+    /// `config` resolved. The initial engine is chosen by measuring the
+    /// initial activity against [`AdaptiveConfig::high_activity`]; an enabled
+    /// telemetry handle records that choice as an `engine_selected` event.
+    fn from_parts(
         protocol: P,
         counts: CountConfiguration,
         seed: u64,
         config: AdaptiveConfig,
-    ) -> Result<Self, SimError> {
-        crate::count_config::validate_engine_inputs(&protocol, &counts)?;
-        let config = config.try_resolved(counts.population())?;
+        telemetry: Telemetry,
+    ) -> Self {
         let fraction = measured_active_fraction(&protocol, &counts);
         let engine_seed = derive_seed(seed, 0);
         let inner = if fraction > config.high_activity {
-            ActiveEngine::MultiBatch(Box::new(MultiBatchSimulation::try_new(
+            ActiveEngine::MultiBatch(Box::new(MultiBatchSimulation::from_parts(
                 protocol,
                 counts,
                 engine_seed,
-            )?))
+                telemetry.clone(),
+            )))
         } else {
-            ActiveEngine::Batched(Box::new(BatchSimulation::try_new(
+            ActiveEngine::Batched(Box::new(BatchSimulation::from_parts(
                 protocol,
                 counts,
                 engine_seed,
-            )?))
+                telemetry.clone(),
+            )))
         };
-        Ok(AdaptiveSimulation {
+        let sim = AdaptiveSimulation {
             inner,
             seed,
             handoffs: 0,
             base_interactions: 0,
             until_check: config.check_interval,
             config,
-            telemetry: Telemetry::disabled(),
-        })
+            telemetry,
+        };
+        if sim.telemetry.is_enabled() {
+            sim.telemetry
+                .record_engine_selected(sim.current_kind().label(), sim.active_fraction());
+        }
+        sim
     }
 
-    /// Attaches a [`Telemetry`] handle, cloning it into the currently active
-    /// inner engine (future handoffs hand it on automatically). An enabled
-    /// handle records an `engine_selected` event for the engine running now,
-    /// with the activity measurement that selected it re-taken.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry.clone();
-        match &mut self.inner {
-            ActiveEngine::Batched(sim) => sim.set_telemetry(telemetry),
-            ActiveEngine::MultiBatch(sim) => sim.set_telemetry(telemetry),
+    /// The active engine, behind the count-tier surface.
+    fn active(&self) -> &dyn CountTier<P> {
+        match &self.inner {
+            ActiveEngine::Batched(sim) => sim.as_ref(),
+            ActiveEngine::MultiBatch(sim) => sim.as_ref(),
             ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
         }
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .record_engine_selected(self.current_kind().label(), self.active_fraction());
-        }
-    }
-
-    /// The attached [`Telemetry`] handle (disabled unless
-    /// [`Self::set_telemetry`] was called with an enabled one).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Creates an adaptive simulation with an explicit switching policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any input [`Self::try_with_config`] rejects.
-    pub fn with_config(
-        protocol: P,
-        counts: CountConfiguration,
-        seed: u64,
-        config: AdaptiveConfig,
-    ) -> Self {
-        // lint:allow(panic): documented panicking wrapper; message pinned by should_panic test
-        Self::try_with_config(protocol, counts, seed, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates an adaptive simulation from a per-agent configuration.
-    ///
-    /// Supports the same population range as [`Self::try_with_config`],
-    /// though the per-agent input is itself `O(n)` — start from counts (or
-    /// [`Self::clean`]) for very large populations.
-    pub fn from_configuration(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        let counts = CountConfiguration::from_configuration(&protocol, config);
-        Self::new(protocol, counts, seed)
-    }
-
-    /// Creates an adaptive simulation from the protocol's clean initial
-    /// configuration.
-    ///
-    /// Builds the counts directly via
-    /// [`CountConfiguration::from_clean_init`] — no `O(n)` per-agent vector
-    /// is ever materialized. Supports the same population range as
-    /// [`Self::try_with_config`].
-    pub fn clean(protocol: P, seed: u64) -> Self
-    where
-        P: CleanInit,
-    {
-        let counts = CountConfiguration::from_clean_init(&protocol);
-        Self::new(protocol, counts, seed)
     }
 
     /// The engine currently executing interactions
@@ -884,6 +782,38 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         self.config
     }
 
+    /// The current configuration, as state counts.
+    pub fn counts(&self) -> &CountConfiguration {
+        self.active().counts()
+    }
+
+    /// [`SimulationEngine::run_until`] taking the predicate by value. The
+    /// predicate is observed at the *active* engine's granularity (exact per
+    /// state change in batched mode, per epoch commit in multi-batch mode).
+    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
+    where
+        F: FnMut(&CountConfiguration) -> bool,
+    {
+        run_until_counts(self, &mut pred, budget)
+    }
+
+    /// [`SimulationEngine::measure_stabilization`] taking the predicate by
+    /// value. Both the pre-stabilization phase and the confirmation window
+    /// run under whichever engine the activity measurements favor — e.g. the
+    /// long silent confirmation window of a stabilized protocol is consumed
+    /// by the batched engine's geometric skipping even if the
+    /// pre-stabilization phase ran multi-batch.
+    pub fn measure_stabilization<F>(
+        &mut self,
+        mut pred: F,
+        opts: StabilizationOptions,
+    ) -> StabilizationResult
+    where
+        F: FnMut(&CountConfiguration) -> bool,
+    {
+        measure_counts(self, &mut pred, opts)
+    }
+
     /// Hands the protocol and count vector to the other engine.
     fn swap(&mut self) {
         // The fraction that motivated this swap, re-measured here only when
@@ -894,26 +824,26 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         } else {
             0.0
         };
+        self.base_interactions += self.active().interactions();
         let retired = std::mem::replace(&mut self.inner, ActiveEngine::Swapping);
         self.handoffs += 1;
         let next_seed = derive_seed(self.seed, self.handoffs);
+        let telemetry = self.telemetry.clone();
         let (from, to);
         self.inner = match retired {
             ActiveEngine::Batched(sim) => {
-                self.base_interactions += sim.interactions();
                 let (protocol, counts) = sim.into_parts();
-                let mut next = MultiBatchSimulation::new(protocol, counts, next_seed);
-                next.set_telemetry(self.telemetry.clone());
                 (from, to) = (EngineKind::Batched, EngineKind::MultiBatch);
-                ActiveEngine::MultiBatch(Box::new(next))
+                ActiveEngine::MultiBatch(Box::new(MultiBatchSimulation::from_parts(
+                    protocol, counts, next_seed, telemetry,
+                )))
             }
             ActiveEngine::MultiBatch(sim) => {
-                self.base_interactions += sim.interactions();
                 let (protocol, counts) = sim.into_parts();
-                let mut next = BatchSimulation::new(protocol, counts, next_seed);
-                next.set_telemetry(self.telemetry.clone());
                 (from, to) = (EngineKind::MultiBatch, EngineKind::Batched);
-                ActiveEngine::Batched(Box::new(next))
+                ActiveEngine::Batched(Box::new(BatchSimulation::from_parts(
+                    protocol, counts, next_seed, telemetry,
+                )))
             }
             ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
         };
@@ -950,208 +880,68 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         }
         remaining.min(self.until_check)
     }
+}
 
-    /// Number of interactions executed since construction — absolute across
-    /// handoffs (retired engines' interactions included).
-    pub fn interactions(&self) -> u64 {
-        let inner = match &self.inner {
-            ActiveEngine::Batched(sim) => sim.interactions(),
-            ActiveEngine::MultiBatch(sim) => sim.interactions(),
+impl<P: EnumerableProtocol> CountTier<P> for AdaptiveSimulation<P> {
+    /// The activity check, when its interval elapsed, then one step of the
+    /// active engine. Never reports a stall: the next check may hand off, so
+    /// a stalled inner engine only consumes its chunk as silence.
+    fn advance(&mut self, cap: u64) -> (u64, bool) {
+        let chunk = self.next_chunk(cap);
+        let executed = match &mut self.inner {
+            ActiveEngine::Batched(sim) => sim.advance(chunk).0,
+            ActiveEngine::MultiBatch(sim) => sim.advance(chunk).0,
             ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
         };
-        self.base_interactions + inner
+        self.until_check -= executed;
+        (executed, false)
     }
 
-    /// The current configuration, as state counts.
-    pub fn counts(&self) -> &CountConfiguration {
-        match &self.inner {
-            ActiveEngine::Batched(sim) => sim.counts(),
-            ActiveEngine::MultiBatch(sim) => sim.counts(),
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        }
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        match &self.inner {
-            ActiveEngine::Batched(sim) => sim.protocol(),
-            ActiveEngine::MultiBatch(sim) => sim.protocol(),
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        }
-    }
-
-    /// Parallel time elapsed so far (interactions divided by `n`).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions() as f64 / self.counts().population() as f64
-    }
-
-    /// Executes exactly `budget` interactions, measuring activity (and
-    /// possibly switching engines) every
-    /// [`AdaptiveConfig::check_interval`] interactions.
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let mut done = 0u64;
-        while done < budget {
-            let chunk = self.next_chunk(budget - done);
-            match &mut self.inner {
-                ActiveEngine::Batched(sim) => {
-                    sim.run(chunk);
-                }
-                ActiveEngine::MultiBatch(sim) => {
-                    sim.run(chunk);
-                }
-                ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-            }
-            done += chunk;
-            self.until_check -= chunk;
-        }
-        budget
-    }
-
-    /// Runs until `pred` holds or `budget` interactions have been executed
-    /// by this call. The predicate is observed at the *active* engine's
-    /// granularity (exact per state change in batched mode, per epoch commit
-    /// in multi-batch mode).
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        self.run_until_dyn(&mut pred, budget)
-    }
-
-    fn run_until_dyn(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        budget: u64,
-    ) -> RunOutcome {
-        let mut done = 0u64;
-        loop {
-            let chunk = self.next_chunk(budget - done);
-            let out = match &mut self.inner {
-                ActiveEngine::Batched(sim) => sim.run_until(|c| pred(c), chunk),
-                ActiveEngine::MultiBatch(sim) => sim.run_until(|c| pred(c), chunk),
-                ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-            };
-            done += out.interactions;
-            self.until_check -= out.interactions;
-            if out.satisfied {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-        }
-    }
-
-    /// Measures the stabilization time of `pred` with the shared engine
-    /// semantics: [`StabilizationResult::stabilized_at`] is absolute across
-    /// handoffs, and the run stops early once the predicate has held for
-    /// `opts.confirm_window` consecutive interactions (`opts.check_every` is
-    /// ignored, as for the count engines).
-    ///
-    /// Internally this alternates a *seek* phase (`run_until(pred)`) and a
-    /// *confirm* phase (`run_until(!pred)` capped by the window), so both
-    /// phases run under whichever engine the activity measurements favor —
-    /// e.g. the long silent confirmation window of a stabilized protocol is
-    /// consumed by the batched engine's geometric skipping even if the
-    /// pre-stabilization phase ran multi-batch.
-    pub fn measure_stabilization<F>(
-        &mut self,
-        mut pred: F,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        self.measure_stabilization_dyn(&mut pred, opts)
-    }
-
-    fn measure_stabilization_dyn(
-        &mut self,
-        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-        opts: StabilizationOptions,
-    ) -> StabilizationResult {
-        let n = self.counts().population() as usize;
-        let start = self.interactions();
-        let mut detector = StabilizationDetector::new();
-        let mut executed = 0u64;
-        loop {
-            // Seek: run until the predicate is first observed true.
-            let out = self.run_until_dyn(pred, opts.budget - executed);
-            executed += out.interactions;
-            if !out.satisfied {
-                detector.observe(start + executed, false);
-                break;
-            }
-            let candidate = start + executed;
-            detector.observe(candidate, true);
-            // Confirm: run until the predicate is observed violated, for at
-            // most the remaining confirmation window.
-            let window = opts.confirm_window.min(opts.budget - executed);
-            let violated = self.run_until_dyn(&mut |c| !pred(c), window);
-            executed += violated.interactions;
-            if violated.satisfied {
-                detector.observe(start + executed, false);
-                if executed >= opts.budget {
-                    break;
-                }
-                continue;
-            }
-            // Held through the window (or to the end of the budget).
-            detector.observe(start + executed, true);
-            break;
-        }
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
+    fn span(&self) -> (&Telemetry, SpanKind) {
+        self.active().span()
     }
 }
 
 impl<P: EnumerableProtocol> SimulationEngine<P> for AdaptiveSimulation<P> {
     fn protocol(&self) -> &P {
-        AdaptiveSimulation::protocol(self)
+        self.active().protocol()
     }
+
     fn counts(&self) -> &CountConfiguration {
-        AdaptiveSimulation::counts(self)
+        self.active().counts()
     }
+
     fn to_configuration(&self) -> Configuration<P::State> {
-        self.counts().to_configuration(self.protocol())
+        self.active().to_configuration()
     }
+
+    /// Absolute across handoffs (retired engines' interactions included).
     fn interactions(&self) -> u64 {
-        AdaptiveSimulation::interactions(self)
+        self.base_interactions + self.active().interactions()
     }
+
     fn predicate_granularity(&self) -> PredicateGranularity {
-        match &self.inner {
-            ActiveEngine::Batched(_) => PredicateGranularity::Interaction,
-            ActiveEngine::MultiBatch(sim) => PredicateGranularity::EpochCommit {
-                expected_interactions: expected_epoch_length(sim.counts().population()),
-            },
-            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
-        }
+        self.active().predicate_granularity()
     }
+
     fn run(&mut self, budget: u64) -> u64 {
-        AdaptiveSimulation::run(self, budget)
+        run_counts(self, budget)
     }
+
     fn run_until(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        self.run_until_dyn(pred, budget)
+        run_until_counts(self, pred, budget)
     }
+
     fn measure_stabilization(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult {
-        self.measure_stabilization_dyn(pred, opts)
+        measure_counts(self, pred, opts)
     }
 }
 
@@ -1163,13 +953,36 @@ enum BuilderInit<S> {
     Counts(CountConfiguration),
 }
 
-/// One constructor for every engine tier: protocol + init + seed + kind →
-/// boxed [`SimulationEngine`].
+/// Builder inputs that passed every check of [`SimBuilder::try_build`].
+struct Validated<P: EnumerableProtocol> {
+    protocol: P,
+    seed: u64,
+    kind: EngineKind,
+    counts: CountConfiguration,
+    /// The per-agent start, kept for [`EngineKind::PerStep`] only.
+    agents: Option<Configuration<P::State>>,
+    check_every: u64,
+    /// Resolved against `n` under [`EngineKind::Auto`], unused otherwise.
+    adaptive: AdaptiveConfig,
+    telemetry: Telemetry,
+}
+
+/// The one way to construct an engine: protocol + init + seed + kind →
+/// [`SimulationEngine`].
 ///
-/// Replaces the per-engine `new` / `from_configuration` / `clean`
-/// constructor trio at call sites (the inherent constructors remain as the
-/// primitive layer). Defaults: clean initial configuration, seed 0,
-/// [`EngineKind::Auto`].
+/// Defaults: clean initial configuration, seed 0, [`EngineKind::Auto`]. The
+/// tiers, by [`EngineKind`]:
+///
+/// | kind | engine | pays per |
+/// |---|---|---|
+/// | [`EngineKind::PerStep`] | the per-agent [`Simulation`] plus a count mirror | interaction |
+/// | [`EngineKind::Batched`] | silent runs skipped geometrically ([`crate::batched`]) | state-changing interaction |
+/// | [`EngineKind::MultiBatch`] | `Θ(√n)`-interaction epochs per draw ([`crate::multibatch`]) | epoch |
+/// | [`EngineKind::Auto`] | [`AdaptiveSimulation`]: multi-batch while activity is high, batched once silence dominates | the cheaper of the two |
+///
+/// [`SimBuilder::try_build`] validates the inputs and returns a typed
+/// [`SimError`]; [`SimBuilder::build`] and [`SimBuilder::build_adaptive`]
+/// panic on the same errors.
 ///
 /// ```
 /// use ppsim::engine::{EngineKind, SimBuilder, SimulationEngine};
@@ -1228,14 +1041,15 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
     }
 
     /// Initializes from an explicit count configuration (materialized into
-    /// per-agent form if the per-step engine is selected).
+    /// per-agent form, ordered by state index, if the per-step engine is
+    /// selected).
     pub fn counts(mut self, counts: CountConfiguration) -> Self {
         self.init = BuilderInit::Counts(counts);
         self
     }
 
-    /// Sets the per-step engine's predicate check stride (ignored by the
-    /// other tiers; see [`PredicateGranularity::Every`]).
+    /// Sets the per-step engine's predicate check stride (clamped to ≥ 1;
+    /// ignored by the other tiers; see [`PredicateGranularity::Every`]).
     pub fn check_every(mut self, every: u64) -> Self {
         self.check_every = every.max(1);
         self
@@ -1259,42 +1073,107 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
         self
     }
 
-    /// The chosen init as a per-agent configuration.
-    fn per_agent_config(protocol: &P, init: BuilderInit<P::State>) -> Configuration<P::State>
-    where
-        P: CleanInit,
-    {
-        match init {
-            BuilderInit::Clean => Configuration::clean(protocol),
-            BuilderInit::PerAgent(config) => config,
-            BuilderInit::Counts(counts) => counts.to_configuration(protocol),
-        }
-    }
-
-    /// The chosen init as a count configuration.
-    ///
-    /// The clean init goes through the flat
-    /// [`CountConfiguration::from_clean_init`] path — never materializing an
-    /// `O(n)` per-agent vector — so count-engine builds stay
-    /// `O(#occupied states)` in memory at any population size.
-    fn count_config(protocol: &P, init: BuilderInit<P::State>) -> CountConfiguration
-    where
-        P: CleanInit,
-    {
-        match init {
-            BuilderInit::Counts(counts) => counts,
-            BuilderInit::Clean => CountConfiguration::from_clean_init(protocol),
-            BuilderInit::PerAgent(config) => {
-                CountConfiguration::from_configuration(protocol, &config)
-            }
-        }
-    }
-
     /// Builds the selected engine behind the [`SimulationEngine`] trait.
     ///
-    /// This is the **only** place in the workspace that dispatches over
-    /// [`EngineKind`]; everything downstream works through the trait.
+    /// This is the one place that validates builder inputs, and the only
+    /// place in the workspace that dispatches over [`EngineKind`];
+    /// everything downstream works through the trait.
+    ///
+    /// # Supported populations
+    ///
+    /// `2 ≤ n ≤ 2⁶²` ([`crate::count_config::MAX_POPULATION`]) for every
+    /// tier. The count tiers keep pair weights exact in `u128` and need
+    /// `O(#occupied states + √n)` memory at any `n` (a clean init never
+    /// materializes agents); the per-step tier is `O(n)` in memory and time,
+    /// practical up to `n ≈ 10⁶`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidParameters`] if an explicit count configuration
+    /// does not track the protocol's state space, the initial
+    /// configuration's population does not match
+    /// [`crate::Protocol::population_size`], `n < 2`, or (under
+    /// [`EngineKind::Auto`]) the [`AdaptiveConfig`] hysteresis band is
+    /// inverted; [`SimError::UnsupportedPopulation`] past the engine bound.
+    pub fn try_build(self) -> Result<Box<dyn SimulationEngine<P>>, SimError>
+    where
+        P: CleanInit,
+    {
+        let v = self.validate()?;
+        Ok(match v.kind {
+            EngineKind::PerStep => {
+                let agents = v
+                    .agents
+                    .unwrap_or_else(|| v.counts.to_configuration(&v.protocol));
+                Box::new(PerStepEngine::from_parts(
+                    v.protocol,
+                    agents,
+                    v.counts,
+                    v.seed,
+                    v.check_every,
+                    v.telemetry,
+                ))
+            }
+            EngineKind::Batched => Box::new(BatchSimulation::from_parts(
+                v.protocol,
+                v.counts,
+                v.seed,
+                v.telemetry,
+            )),
+            EngineKind::MultiBatch => Box::new(MultiBatchSimulation::from_parts(
+                v.protocol,
+                v.counts,
+                v.seed,
+                v.telemetry,
+            )),
+            EngineKind::Auto => Box::new(AdaptiveSimulation::from_parts(
+                v.protocol,
+                v.counts,
+                v.seed,
+                v.adaptive,
+                v.telemetry,
+            )),
+        })
+    }
+
+    /// [`SimBuilder::try_build`], panicking on its errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SimError`] message on any input `try_build`
+    /// rejects.
     pub fn build(self) -> Box<dyn SimulationEngine<P>>
+    where
+        P: CleanInit,
+    {
+        // lint:allow(panic): documented panicking wrapper; message pinned by should_panic test
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the [`EngineKind::Auto`] engine as its concrete type (for
+    /// callers that want handoff introspection — the boxed
+    /// [`SimBuilder::build`] surface does not expose it). The selected
+    /// [`SimBuilder::kind`] is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SimError`] message on any input
+    /// [`SimBuilder::try_build`] rejects under [`EngineKind::Auto`].
+    pub fn build_adaptive(self) -> AdaptiveSimulation<P>
+    where
+        P: CleanInit,
+    {
+        let v = self
+            .kind(EngineKind::Auto)
+            .validate()
+            // lint:allow(panic): documented panicking wrapper; message pinned by should_panic test
+            .unwrap_or_else(|e| panic!("{e}"));
+        AdaptiveSimulation::from_parts(v.protocol, v.counts, v.seed, v.adaptive, v.telemetry)
+    }
+
+    /// Checks the inputs and resolves the init to counts (plus, for the
+    /// per-step tier, agents).
+    fn validate(self) -> Result<Validated<P>, SimError>
     where
         P: CleanInit,
     {
@@ -1307,63 +1186,63 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
             adaptive,
             telemetry,
         } = self;
-        match kind {
-            EngineKind::PerStep => {
-                let config = Self::per_agent_config(&protocol, init);
-                let mut sim =
-                    PerStepEngine::new(protocol, config, seed).with_check_every(check_every);
-                sim.set_telemetry(telemetry);
-                Box::new(sim)
-            }
-            EngineKind::Batched => {
-                let counts = Self::count_config(&protocol, init);
-                let mut sim = BatchSimulation::new(protocol, counts, seed);
-                sim.set_telemetry(telemetry);
-                Box::new(sim)
-            }
-            EngineKind::MultiBatch => {
-                let counts = Self::count_config(&protocol, init);
-                let mut sim = MultiBatchSimulation::new(protocol, counts, seed);
-                sim.set_telemetry(telemetry);
-                Box::new(sim)
-            }
-            EngineKind::Auto => {
-                let counts = Self::count_config(&protocol, init);
-                let mut sim = AdaptiveSimulation::with_config(protocol, counts, seed, adaptive);
-                sim.set_telemetry(telemetry);
-                Box::new(sim)
-            }
-        }
-    }
-
-    /// Builds the [`EngineKind::Auto`] engine as its concrete type (for
-    /// callers that want handoff introspection — the boxed
-    /// [`SimBuilder::build`] surface does not expose it). The selected
-    /// [`SimBuilder::kind`] is ignored.
-    pub fn build_adaptive(self) -> AdaptiveSimulation<P>
-    where
-        P: CleanInit,
-    {
-        let SimBuilder {
+        // Population bounds first, so a rejected `n` builds nothing.
+        validate_population(protocol.population_size() as u64)?;
+        let per_step = kind == EngineKind::PerStep;
+        let (counts, agents) = match init {
+            // The count tiers never materialize a clean start's agents; the
+            // per-step tier gets them in the protocol's own agent order.
+            BuilderInit::Clean => (
+                CountConfiguration::from_clean_init(&protocol),
+                per_step.then(|| Configuration::clean(&protocol)),
+            ),
+            BuilderInit::PerAgent(config) => (
+                CountConfiguration::from_configuration(&protocol, &config),
+                per_step.then_some(config),
+            ),
+            BuilderInit::Counts(counts) => (counts, None),
+        };
+        validate_engine_inputs(&protocol, &counts)?;
+        let adaptive = if kind == EngineKind::Auto {
+            adaptive.try_resolved(counts.population())?
+        } else {
+            adaptive
+        };
+        Ok(Validated {
             protocol,
             seed,
-            init,
+            kind,
+            counts,
+            agents,
+            check_every,
             adaptive,
             telemetry,
-            ..
-        } = self;
-        let counts = Self::count_config(&protocol, init);
-        let mut sim = AdaptiveSimulation::with_config(protocol, counts, seed, adaptive);
-        sim.set_telemetry(telemetry);
-        sim
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::count_config::MAX_POPULATION;
     use crate::epidemic::{OneWayEpidemic, TwoWayEpidemic, INFORMED};
     use crate::protocol::Protocol;
+
+    const ALL_KINDS: [EngineKind; 4] = [
+        EngineKind::PerStep,
+        EngineKind::Batched,
+        EngineKind::MultiBatch,
+        EngineKind::Auto,
+    ];
+
+    fn per_step<P: EnumerableProtocol + CleanInit + 'static>(
+        protocol: P,
+        seed: u64,
+    ) -> SimBuilder<P> {
+        SimBuilder::new(protocol)
+            .kind(EngineKind::PerStep)
+            .seed(seed)
+    }
 
     fn informed_everywhere(c: &CountConfiguration) -> bool {
         c.count(INFORMED) == c.population()
@@ -1389,12 +1268,7 @@ mod tests {
 
     #[test]
     fn every_kind_completes_the_epidemic_through_the_trait() {
-        for kind in [
-            EngineKind::PerStep,
-            EngineKind::Batched,
-            EngineKind::MultiBatch,
-            EngineKind::Auto,
-        ] {
+        for kind in ALL_KINDS {
             let mut sim = SimBuilder::new(OneWayEpidemic::new(256, 1))
                 .kind(kind)
                 .seed(9)
@@ -1410,29 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_direct_constructors_trajectory_for_fixed_kinds() {
-        // The builder must not perturb RNG streams: a `Batched` build from a
-        // clean init is the same run as `BatchSimulation::clean`.
-        let mut direct = BatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
-        let direct_out = direct.run_until(|c| c.count(INFORMED) == c.population(), u64::MAX);
-        let mut built = SimBuilder::new(OneWayEpidemic::new(256, 1))
-            .kind(EngineKind::Batched)
-            .seed(42)
-            .build();
-        let built_out = built.run_until(&mut informed_everywhere, u64::MAX);
-        assert_eq!(direct_out.interactions, built_out.interactions);
-
-        let mut direct = MultiBatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
-        let direct_out = direct.run_until(|c| c.count(INFORMED) == c.population(), u64::MAX);
-        let mut built = SimBuilder::new(OneWayEpidemic::new(256, 1))
-            .kind(EngineKind::MultiBatch)
-            .seed(42)
-            .build();
-        let built_out = built.run_until(&mut informed_everywhere, u64::MAX);
-        assert_eq!(direct_out.interactions, built_out.interactions);
-    }
-
-    #[test]
     fn per_step_engine_mirrors_the_bare_simulation_exactly() {
         // Same seed, same trajectory: the count mirror is pure bookkeeping.
         let protocol = OneWayEpidemic::new(128, 1);
@@ -1440,32 +1291,32 @@ mod tests {
         let mut bare = Simulation::new(protocol, config, 11);
         let bare_out = bare.run_until(|c| c.iter().all(|s| *s), u64::MAX);
 
-        let mut mirrored = PerStepEngine::clean(OneWayEpidemic::new(128, 1), 11);
-        let out = mirrored.run_until(informed_everywhere, u64::MAX);
+        let mut mirrored = per_step(OneWayEpidemic::new(128, 1), 11).build();
+        let out = mirrored.run_until(&mut informed_everywhere, u64::MAX);
         assert_eq!(out.interactions, bare_out.interactions);
         assert_eq!(mirrored.counts().count(INFORMED), 128);
     }
 
     #[test]
     fn per_step_mirror_stays_consistent_with_a_rebuild() {
-        let mut sim = PerStepEngine::clean(TwoWayEpidemic::new(64, 3), 5);
+        let mut sim = per_step(TwoWayEpidemic::new(64, 3), 5).build();
         for _ in 0..20 {
             sim.run(50);
-            let rebuilt = CountConfiguration::from_configuration(
-                sim.simulation().protocol(),
-                sim.simulation().configuration(),
-            );
+            let rebuilt =
+                CountConfiguration::from_configuration(sim.protocol(), &sim.to_configuration());
             assert_eq!(sim.counts(), &rebuilt, "mirror drifted");
         }
     }
 
     #[test]
     fn per_step_check_every_rounds_hitting_times_up() {
-        let exact = PerStepEngine::clean(OneWayEpidemic::new(64, 1), 3)
-            .run_until(informed_everywhere, u64::MAX);
-        let coarse = PerStepEngine::clean(OneWayEpidemic::new(64, 1), 3)
-            .with_check_every(100)
-            .run_until(informed_everywhere, u64::MAX);
+        let exact = per_step(OneWayEpidemic::new(64, 1), 3)
+            .build()
+            .run_until(&mut informed_everywhere, u64::MAX);
+        let coarse = per_step(OneWayEpidemic::new(64, 1), 3)
+            .check_every(100)
+            .build()
+            .run_until(&mut informed_everywhere, u64::MAX);
         assert!(coarse.satisfied);
         assert!(coarse.interactions >= exact.interactions);
         assert!(coarse.interactions < exact.interactions + 100);
@@ -1516,15 +1367,11 @@ mod tests {
 
     #[test]
     fn adaptive_engine_hands_off_in_both_directions() {
-        let mut sim = AdaptiveSimulation::with_config(
-            OneWayEpidemic::new(256, 1),
-            CountConfiguration::from_configuration(
-                &OneWayEpidemic::new(256, 1),
-                &Configuration::clean(&OneWayEpidemic::new(256, 1)),
-            ),
-            7,
-            switchy(),
-        );
+        let mut sim = SimBuilder::new(OneWayEpidemic::new(256, 1))
+            .config(Configuration::clean(&OneWayEpidemic::new(256, 1)))
+            .seed(7)
+            .adaptive_config(switchy())
+            .build_adaptive();
         assert_eq!(sim.current_kind(), EngineKind::Batched, "sparse start");
         let out = sim.run_until(informed_everywhere, u64::MAX);
         assert!(out.satisfied);
@@ -1549,8 +1396,7 @@ mod tests {
     #[test]
     fn adaptive_handoffs_reuse_the_survival_table() {
         // The gauge lives in the telemetry layer (always on, telemetry
-        // handle or not); `crate::multibatch::survival_table_builds` is the
-        // same counter under its historical name.
+        // handle or not).
         use crate::telemetry::survival_table_builds;
         // A population no other test on this thread uses (libtest runs each
         // test on its own thread, so the counter starts fresh anyway).
@@ -1584,23 +1430,84 @@ mod tests {
         );
     }
 
+    /// The build error for `builder`, which must be rejected.
+    fn rejection<P: EnumerableProtocol + CleanInit + 'static>(builder: SimBuilder<P>) -> SimError {
+        match builder.try_build() {
+            Ok(_) => panic!("invalid input accepted"),
+            Err(e) => e,
+        }
+    }
+
+    fn assert_invalid(err: SimError, reason: &str) {
+        assert!(
+            matches!(&err, SimError::InvalidParameters { reason: r } if r.contains(reason)),
+            "expected InvalidParameters containing {reason:?}, got {err:?}"
+        );
+    }
+
+    /// The error table of the one validating constructor: every tier
+    /// rejects the same inputs with the same typed error.
+    #[test]
+    fn try_build_rejects_each_invalid_input_with_its_error() {
+        let eight = || SimBuilder::new(OneWayEpidemic::new(8, 1));
+        for kind in ALL_KINDS {
+            let counts = |c: Vec<u64>| {
+                eight()
+                    .kind(kind)
+                    .counts(CountConfiguration::from_counts(c))
+            };
+            assert_invalid(rejection(counts(vec![4, 3, 1])), "state space");
+            assert_invalid(rejection(counts(vec![3, 1])), "must match");
+            let short = Configuration::from_states(vec![true; 5]);
+            assert_invalid(rejection(eight().kind(kind).config(short)), "must match");
+            assert_invalid(
+                rejection(SimBuilder::new(OneWayEpidemic::new(1, 1)).kind(kind)),
+                "at least two agents",
+            );
+            let over = MAX_POPULATION / 2 + 1;
+            let giant = SimBuilder::new(OneWayEpidemic::new((2 * over) as usize, over as usize))
+                .kind(kind)
+                .counts(CountConfiguration::from_counts(vec![over, over]));
+            assert_eq!(
+                rejection(giant),
+                SimError::UnsupportedPopulation {
+                    population: 2 * over,
+                    limit: MAX_POPULATION,
+                },
+                "{kind:?}"
+            );
+            // The hysteresis band is Auto's alone; the fixed tiers ignore it.
+            let inverted = eight().kind(kind).adaptive_config(AdaptiveConfig {
+                low_activity: 0.5,
+                high_activity: 0.1,
+                check_interval: 0,
+            });
+            if kind == EngineKind::Auto {
+                assert_invalid(rejection(inverted), "low_activity < high_activity");
+            } else {
+                assert!(inverted.try_build().is_ok(), "{kind:?}");
+            }
+        }
+    }
+
     #[test]
     fn adaptive_try_with_config_surfaces_typed_errors() {
-        let protocol = OneWayEpidemic::new(8, 1);
-        let counts = CountConfiguration::from_counts(vec![3, 1]);
-        let err =
-            AdaptiveSimulation::try_with_config(protocol, counts, 0, AdaptiveConfig::default())
-                .unwrap_err();
+        let mismatched = SimBuilder::new(OneWayEpidemic::new(8, 1))
+            .kind(EngineKind::Auto)
+            .counts(CountConfiguration::from_counts(vec![3, 1]));
+        let err = rejection(mismatched);
         assert!(err.to_string().contains("must match"), "{err}");
 
-        let protocol = OneWayEpidemic::new(8, 1);
-        let counts = CountConfiguration::from_counts(vec![7, 1]);
         let bad_band = AdaptiveConfig {
             low_activity: 0.5,
             high_activity: 0.1,
             check_interval: 0,
         };
-        let err = AdaptiveSimulation::try_with_config(protocol, counts, 0, bad_band).unwrap_err();
+        let inverted = SimBuilder::new(OneWayEpidemic::new(8, 1))
+            .kind(EngineKind::Auto)
+            .counts(CountConfiguration::from_counts(vec![7, 1]))
+            .adaptive_config(bad_band);
+        let err = rejection(inverted);
         assert!(
             err.to_string().contains("low_activity < high_activity"),
             "{err}"
@@ -1611,11 +1518,15 @@ mod tests {
     fn adaptive_initial_engine_follows_initial_activity() {
         // Half informed: the two-way epidemic's mixed pairs put the active
         // fraction near 1/2, over any default-ish high threshold.
-        let sim = AdaptiveSimulation::clean(TwoWayEpidemic::new(128, 64), 3);
+        let sim = SimBuilder::new(TwoWayEpidemic::new(128, 64))
+            .seed(3)
+            .build_adaptive();
         assert_eq!(sim.current_kind(), EngineKind::MultiBatch);
         assert!(sim.active_fraction() > 0.4);
         // One source: activity ≈ 2/n, silence dominates.
-        let sim = AdaptiveSimulation::clean(TwoWayEpidemic::new(128, 1), 3);
+        let sim = SimBuilder::new(TwoWayEpidemic::new(128, 1))
+            .seed(3)
+            .build_adaptive();
         assert_eq!(sim.current_kind(), EngineKind::Batched);
     }
 
@@ -1675,7 +1586,9 @@ mod tests {
         // All informed from the start: predicate holds, nothing can change.
         // The adaptive engine must detect the stall through its batched
         // inner engine instead of grinding epochs.
-        let mut sim = AdaptiveSimulation::clean(TwoWayEpidemic::new(32, 32), 1);
+        let mut sim = SimBuilder::new(TwoWayEpidemic::new(32, 32))
+            .seed(1)
+            .build_adaptive();
         assert_eq!(sim.current_kind(), EngineKind::Batched);
         let opts = StabilizationOptions::new(32, u64::MAX / 2).confirm_window(1_000);
         let res = sim.measure_stabilization(informed_everywhere, opts);
@@ -1686,7 +1599,9 @@ mod tests {
 
     #[test]
     fn adaptive_run_until_budget_exhaustion_reports_unsatisfied() {
-        let mut sim = AdaptiveSimulation::clean(OneWayEpidemic::new(64, 1), 5);
+        let mut sim = SimBuilder::new(OneWayEpidemic::new(64, 1))
+            .seed(5)
+            .build_adaptive();
         let out = sim.run_until(informed_everywhere, 10);
         assert!(!out.satisfied);
         assert_eq!(out.interactions, 10);
@@ -1698,7 +1613,7 @@ mod tests {
         let counts =
             CountConfiguration::from_configuration(&protocol, &Configuration::clean(&protocol));
         let measured = measured_active_fraction(&protocol, &counts);
-        let sim = BatchSimulation::new(protocol, counts, 0);
+        let sim = BatchSimulation::from_parts(protocol, counts, 0, Telemetry::disabled());
         assert!((measured - sim.active_fraction()).abs() < 1e-12);
         // 30 informed × 70 uninformed mixed ordered pairs, both orders.
         assert!((measured - (2.0 * 30.0 * 70.0) / (100.0 * 99.0)).abs() < 1e-12);
@@ -1719,12 +1634,7 @@ mod tests {
 
     #[test]
     fn builder_counts_init_feeds_every_kind() {
-        for kind in [
-            EngineKind::PerStep,
-            EngineKind::Batched,
-            EngineKind::MultiBatch,
-            EngineKind::Auto,
-        ] {
+        for kind in ALL_KINDS {
             let counts = CountConfiguration::from_counts(vec![30, 2]);
             let mut sim = SimBuilder::new(TwoWayEpidemic::new(32, 1))
                 .counts(counts)

@@ -2,9 +2,9 @@
 //!
 //! The per-agent engine ([`crate::Simulation`]) only needs
 //! [`Protocol::interact`] and therefore works for any state type. The
-//! *batched* engine ([`crate::BatchSimulation`]) instead operates on a
-//! count-based representation of the configuration — one counter per state —
-//! and needs three extra capabilities from the protocol:
+//! count tiers ([`crate::batched`], [`crate::multibatch`]) instead operate
+//! on a count-based representation of the configuration — one counter per
+//! state — and need three extra capabilities from the protocol:
 //!
 //! 1. a bijection between the state space `Q` and `0..|Q|`
 //!    ([`EnumerableProtocol::encode`] / [`EnumerableProtocol::decode`]),

@@ -8,7 +8,7 @@
 //! [`measure_epidemic_time`] as a reusable helper.
 
 use crate::configuration::Configuration;
-use crate::engine::{EngineKind, PerStepEngine, SimBuilder};
+use crate::engine::{EngineKind, SimBuilder};
 use crate::enumerable::EnumerableProtocol;
 use crate::indexer::SupportEnumerable;
 use crate::protocol::{AgentId, CleanInit, InteractionCtx, Protocol};
@@ -199,7 +199,9 @@ where
 /// times are different samples of the same distribution, and each engine
 /// observes completion at its own
 /// [`crate::engine::SimulationEngine::predicate_granularity`] (exact for
-/// per-step and batched, up to one `O(√n)` epoch late for multi-batch).
+/// per-step and batched, up to one `O(√n)` epoch late for multi-batch). For
+/// a coarse per-step check stride, build the engine with
+/// [`SimBuilder::check_every`].
 pub fn measure_epidemic_time_with<P>(
     protocol: P,
     kind: EngineKind,
@@ -212,47 +214,6 @@ where
     let mut sim = SimBuilder::new(protocol).kind(kind).seed(seed).build();
     let out = sim.run_until(&mut |c| c.count(INFORMED) == c.population(), budget);
     out.satisfied.then_some(out.interactions)
-}
-
-/// Like [`measure_epidemic_time`], but checking completion only every
-/// `check_every` interactions: the returned time is rounded up to the next
-/// check, so it overshoots the true completion by less than `check_every` —
-/// the [`crate::engine::PredicateGranularity::Every`] contract, served by
-/// the per-step engine's count mirror ([`PerStepEngine`]).
-pub fn measure_epidemic_time_coarse<P>(
-    protocol: P,
-    seed: u64,
-    budget: u64,
-    check_every: u64,
-) -> Option<u64>
-where
-    P: EnumerableProtocol<State = bool> + CleanInit,
-{
-    let mut sim = PerStepEngine::clean(protocol, seed).with_check_every(check_every);
-    let out = sim.run_until(|c| c.count(INFORMED) == c.population(), budget);
-    out.satisfied.then_some(out.interactions)
-}
-
-/// Like [`measure_epidemic_time`], but under the batched count-based engine
-/// ([`crate::BatchSimulation`]) — the variant to use for large populations
-/// (`n ≥ 10⁵`) once silence dominates. Equivalent to
-/// [`measure_epidemic_time_with`] at [`EngineKind::Batched`].
-pub fn measure_epidemic_time_batched<P>(protocol: P, seed: u64, budget: u64) -> Option<u64>
-where
-    P: EnumerableProtocol<State = bool> + CleanInit + 'static,
-{
-    measure_epidemic_time_with(protocol, EngineKind::Batched, seed, budget)
-}
-
-/// Like [`measure_epidemic_time`], but under the multi-batch collision
-/// sampler engine ([`crate::MultiBatchSimulation`]) — the fastest tier while
-/// the epidemic is *dense*. Equivalent to [`measure_epidemic_time_with`] at
-/// [`EngineKind::MultiBatch`].
-pub fn measure_epidemic_time_multibatch<P>(protocol: P, seed: u64, budget: u64) -> Option<u64>
-where
-    P: EnumerableProtocol<State = bool> + CleanInit + 'static,
-{
-    measure_epidemic_time_with(protocol, EngineKind::MultiBatch, seed, budget)
 }
 
 /// The empirical epidemic constant: completion interactions divided by
@@ -348,9 +309,13 @@ mod tests {
         let n = 64;
         for seed in 0..5 {
             let exact = measure_epidemic_time(OneWayEpidemic::new(n, 1), seed, u64::MAX).unwrap();
-            let coarse =
-                measure_epidemic_time_coarse(OneWayEpidemic::new(n, 1), seed, u64::MAX, 100)
-                    .unwrap();
+            let coarse = SimBuilder::new(OneWayEpidemic::new(n, 1))
+                .kind(EngineKind::PerStep)
+                .seed(seed)
+                .check_every(100)
+                .build()
+                .run_until(&mut |c| c.count(INFORMED) == c.population(), u64::MAX)
+                .interactions;
             assert!(coarse >= exact, "coarse {coarse} below exact {exact}");
             assert!(coarse < exact + 100);
             assert_eq!(coarse % 100, 0, "completion reported at a check");
@@ -365,8 +330,13 @@ mod tests {
             (0..trials)
                 .map(|i| {
                     if batched {
-                        measure_epidemic_time_batched(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX)
-                            .unwrap() as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::Batched,
+                            30 + i,
+                            u64::MAX,
+                        )
+                        .unwrap() as f64
                     } else {
                         measure_epidemic_time(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX).unwrap()
                             as f64
@@ -392,8 +362,9 @@ mod tests {
             (0..trials)
                 .map(|i| {
                     if multibatch {
-                        measure_epidemic_time_multibatch(
+                        measure_epidemic_time_with(
                             OneWayEpidemic::new(n, 1),
+                            EngineKind::MultiBatch,
                             30 + i,
                             u64::MAX,
                         )
@@ -416,7 +387,7 @@ mod tests {
     #[test]
     fn multibatch_insufficient_budget_returns_none() {
         assert_eq!(
-            measure_epidemic_time_multibatch(TwoWayEpidemic::new(64, 1), 0, 5),
+            measure_epidemic_time_with(TwoWayEpidemic::new(64, 1), EngineKind::MultiBatch, 0, 5),
             None
         );
     }
@@ -424,7 +395,7 @@ mod tests {
     #[test]
     fn batched_insufficient_budget_returns_none() {
         assert_eq!(
-            measure_epidemic_time_batched(TwoWayEpidemic::new(64, 1), 0, 5),
+            measure_epidemic_time_with(TwoWayEpidemic::new(64, 1), EngineKind::Batched, 0, 5),
             None
         );
     }

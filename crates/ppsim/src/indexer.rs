@@ -1,7 +1,7 @@
-//! Dynamic state indexing: running the batched engine on protocols whose
+//! Dynamic state indexing: running the count tiers on protocols whose
 //! state space is too large (or too awkward) to enumerate up front.
 //!
-//! [`crate::BatchSimulation`] needs a bijection between the protocol's state
+//! The count tiers need a bijection between the protocol's state
 //! space and `0..|Q|` ([`EnumerableProtocol`]). For the paper's epidemics and
 //! the baseline protocols that bijection is a closed-form formula, but for
 //! `ElectLeader_r` the reachable state space is huge, `n`-dependent, and only
@@ -203,7 +203,7 @@ impl<S: Hash + Eq + Clone> Interner<S> {
 /// ```
 /// use ppsim::epidemic::OneWayEpidemic;
 /// use ppsim::indexer::DiscoveredProtocol;
-/// use ppsim::{BatchSimulation, CountConfiguration};
+/// use ppsim::{CountConfiguration, EngineKind, SimBuilder};
 ///
 /// // Epidemics implement `SupportEnumerable` (silence on the state level),
 /// // so they can run under the adapter — no up-front enumeration involved.
@@ -211,11 +211,14 @@ impl<S: Hash + Eq + Clone> Interner<S> {
 /// // through a shared handle instead of hard-coding indices.
 /// let discovered = DiscoveredProtocol::new(OneWayEpidemic::new(256, 1));
 /// let handle = discovered.clone();
-/// let mut sim = BatchSimulation::clean(discovered, 7);
-/// let everyone_informed = |c: &CountConfiguration| {
+/// let mut sim = SimBuilder::new(discovered)
+///     .kind(EngineKind::Batched)
+///     .seed(7)
+///     .build();
+/// let mut everyone_informed = |c: &CountConfiguration| {
 ///     (0..c.num_states()).all(|i| c.count(i) == 0 || handle.peek(i, |s| *s))
 /// };
-/// let out = sim.run_until(everyone_informed, u64::MAX);
+/// let out = sim.run_until(&mut everyone_informed, u64::MAX);
 /// assert!(out.satisfied);
 /// ```
 pub struct DiscoveredProtocol<P: SupportEnumerable>
@@ -457,7 +460,17 @@ where
 mod tests {
     use super::*;
     use crate::protocol::{AgentId, CleanInit};
-    use crate::{BatchSimulation, Configuration, SimRng};
+    use crate::telemetry::{Counter, Telemetry};
+    use crate::{Configuration, EngineKind, SimBuilder, SimRng};
+
+    /// Non-silent interactions a batched run executed, from the telemetry
+    /// counter.
+    fn active(telemetry: &Telemetry) -> u64 {
+        telemetry
+            .report()
+            .expect("enabled handle")
+            .counter(Counter::BatchedActiveInteractions)
+    }
 
     /// One-way epidemic on `bool` states, with state-level silence.
     struct Spread(usize);
@@ -511,6 +524,13 @@ mod tests {
                     *u = false;
                 }
             }
+        }
+    }
+
+    /// Everyone starts excited: a fully silent configuration.
+    impl CleanInit for LazyCoin {
+        fn clean_state(&self, _agent: AgentId) -> bool {
+            true
         }
     }
 
@@ -673,12 +693,16 @@ mod tests {
 
     #[test]
     fn discovered_epidemic_completes_under_the_batched_engine() {
-        let p = DiscoveredProtocol::new(Spread(128));
-        let mut sim = BatchSimulation::clean(p, 11);
-        let out = sim.run_until(|c| c.count(0) == c.population(), u64::MAX);
+        let telemetry = Telemetry::enabled();
+        let mut sim = SimBuilder::new(DiscoveredProtocol::new(Spread(128)))
+            .kind(EngineKind::Batched)
+            .seed(11)
+            .telemetry(telemetry.clone())
+            .build();
+        let out = sim.run_until(&mut |c| c.count(0) == c.population(), u64::MAX);
         assert!(out.satisfied);
         // Exactly n - 1 informing interactions, as for the enumerated engine.
-        assert_eq!(sim.active_interactions(), 127);
+        assert_eq!(active(&telemetry), 127);
     }
 
     #[test]
@@ -686,12 +710,15 @@ mod tests {
         // From all-excited, every non-silent interaction either spreads or
         // calms; eventually everyone is excited or calmed in a way that can
         // stall. Just check the engine runs it without blind sampling issues.
-        let p = DiscoveredProtocol::new(LazyCoin(64));
-        let config = Configuration::uniform(64, true);
-        let mut sim = BatchSimulation::from_configuration(p, &config, 3);
+        let telemetry = Telemetry::enabled();
+        let mut sim = SimBuilder::new(DiscoveredProtocol::new(LazyCoin(64)))
+            .kind(EngineKind::Batched)
+            .seed(3)
+            .telemetry(telemetry.clone())
+            .build();
         // All-true is fully silent: every pair maps to itself.
-        let active = sim.run(10_000);
-        assert_eq!(active, 0);
+        sim.run(10_000);
+        assert_eq!(active(&telemetry), 0);
     }
 
     #[test]

@@ -17,23 +17,28 @@
 //!   for reachability-style unit tests,
 //! * [`Simulation`] — the per-agent run loop, with stop conditions and
 //!   stabilization detection ([`convergence`]),
-//! * [`BatchSimulation`] — the batched count-based engine for protocols with
-//!   an enumerable state space ([`EnumerableProtocol`],
-//!   [`CountConfiguration`]): silent interaction runs are sampled
-//!   geometrically instead of executed, making `n ≥ 10⁶` populations cheap,
-//! * [`MultiBatchSimulation`] — the multi-batch collision sampler engine:
-//!   whole `Θ(√n)`-sized batches of interactions are resolved per epoch with
-//!   hypergeometric/multinomial draws over the count vector (plus an exact
-//!   collision correction), the tier of choice when most interactions are
-//!   state-changing and silence-skipping cannot help,
 //! * [`engine`] — the unified engine API: the [`SimulationEngine`] trait
-//!   over all tiers, the [`SimBuilder`] entry point, and
-//!   [`AdaptiveSimulation`] — the `Auto` tier that runs multi-batch while
-//!   activity is high and hands off to the batched engine (and back) at a
-//!   hysteresis threshold,
+//!   over every tier and [`SimBuilder`], the one way to construct an engine
+//!   ([`SimBuilder::try_build`]). The tiers, by [`EngineKind`]:
+//!   * [`EngineKind::PerStep`] — the per-agent [`Simulation`] behind a count
+//!     mirror, exact per-agent trajectories,
+//!   * [`EngineKind::Batched`] — the batched count-based engine
+//!     ([`batched`]) for protocols with an enumerable state space
+//!     ([`EnumerableProtocol`], [`CountConfiguration`]): silent interaction
+//!     runs are sampled geometrically instead of executed, making `n ≥ 10⁶`
+//!     populations cheap,
+//!   * [`EngineKind::MultiBatch`] — the multi-batch collision sampler
+//!     ([`multibatch`]): whole `Θ(√n)`-sized batches of interactions are
+//!     resolved per epoch with hypergeometric/multinomial draws over the
+//!     count vector (plus an exact collision correction), the tier of choice
+//!     when most interactions are state-changing and silence-skipping cannot
+//!     help,
+//!   * [`EngineKind::Auto`] — [`AdaptiveSimulation`], which runs multi-batch
+//!     while activity is high and hands off to the batched engine (and back)
+//!     at a hysteresis threshold,
 //! * [`indexer`] — dynamic state indexing ([`DiscoveredProtocol`],
-//!   [`SupportEnumerable`]): runs the batched engine on protocols whose
-//!   state space is too large to enumerate, assigning indices lazily as
+//!   [`SupportEnumerable`]): runs the count tiers on protocols whose state
+//!   space is too large to enumerate, assigning indices lazily as
 //!   states are first reached,
 //! * [`fleet`] — [`TrialFleet`]: parallel fan-out of independent seeded
 //!   trials over [`SimBuilder`]-built engines across worker threads, with
@@ -117,15 +122,14 @@ pub mod stats;
 pub mod telemetry;
 
 pub use adversary::AdversarialInit;
-pub use batched::BatchSimulation;
 pub use coin::SyntheticCoin;
 pub use configuration::Configuration;
 pub use convergence::{StabilizationDetector, StabilizationResult};
 pub use count_config::{CountConfiguration, MAX_POPULATION};
 pub use digest::{fnv1a_64, Fnv64};
 pub use engine::{
-    AdaptiveConfig, AdaptiveSimulation, EngineKind, PerStepEngine, PredicateGranularity,
-    SimBuilder, SimulationEngine,
+    AdaptiveConfig, AdaptiveSimulation, EngineKind, PredicateGranularity, SimBuilder,
+    SimulationEngine,
 };
 pub use enumerable::EnumerableProtocol;
 pub use error::SimError;
@@ -133,7 +137,6 @@ pub use fleet::{FleetStats, KsReservoir, RunningStats, TrialFleet};
 pub use indexer::{DiscoveredProtocol, SupportEnumerable};
 pub use mem::{peak_rss_bytes, reset_peak_rss};
 pub use metrics::InteractionMetrics;
-pub use multibatch::MultiBatchSimulation;
 pub use protocol::{AgentId, CleanInit, InteractionCtx, LeaderOutput, Protocol, RankingOutput};
 pub use rng::SimRng;
 pub use scheduler::{OrderedPair, Scheduler, ScriptedScheduler, UniformScheduler};

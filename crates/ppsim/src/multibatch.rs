@@ -1,13 +1,13 @@
 //! The multi-batch collision sampler engine.
 //!
-//! The batched engine ([`crate::BatchSimulation`]) pays O(1) per
+//! The batched engine ([`crate::batched`]) pays O(1) per
 //! *state-changing* interaction, which is ideal when silence dominates but
 //! degenerates toward per-step cost for protocols with large non-silent pair
 //! sets — a dense epidemic mid-outbreak, or `ElectLeader_r` early in
-//! stabilization, where nearly every interaction changes state.
-//! [`MultiBatchSimulation`] attacks exactly that regime by resolving whole
-//! Θ(√n)-sized *batches* of interactions in a constant number of statistical
-//! draws over the count configuration:
+//! stabilization, where nearly every interaction changes state. The
+//! multi-batch engine ([`crate::EngineKind::MultiBatch`]) attacks exactly
+//! that regime by resolving whole Θ(√n)-sized *batches* of interactions in a
+//! constant number of statistical draws over the count configuration:
 //!
 //! 1. Sample the **epoch length**: the number `L` of consecutive interactions
 //!    whose agents are all distinct, i.e. the number of interactions before
@@ -23,7 +23,7 @@
 //!    deterministic transitions need no randomness at all, enumerated
 //!    randomized supports ([`EnumerableProtocol::transition_support`]) are
 //!    split **multinomially** over their outcomes, and only unknown-support
-//!    transitions fall back to one [`Protocol::interact`] call per
+//!    transitions fall back to one [`crate::Protocol::interact`] call per
 //!    interaction. All updates are *delayed* — applied to the counts in one
 //!    [`CountConfiguration::apply_batch`] commit, which is sound because the
 //!    batch's agents are pairwise distinct.
@@ -48,11 +48,14 @@
 
 use crate::batched::sample_support;
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
-use crate::count_config::{validate_engine_inputs, CountConfiguration};
+use crate::convergence::StabilizationResult;
+use crate::count_config::CountConfiguration;
+use crate::engine::{
+    expected_epoch_length, measure_counts, run_counts, run_until_counts, CountTier,
+    PredicateGranularity, SimulationEngine,
+};
 use crate::enumerable::EnumerableProtocol;
-use crate::error::SimError;
-use crate::protocol::{CleanInit, InteractionCtx};
+use crate::protocol::InteractionCtx;
 use crate::rng::{uniform_below, uniform_below_u128, SimRng};
 use crate::simulation::{RunOutcome, StabilizationOptions};
 use crate::telemetry::{Counter, SpanKind, Telemetry};
@@ -127,18 +130,6 @@ fn shared_survival_table(n: u64) -> Rc<[f64]> {
     })
 }
 
-/// Number of survival tables actually *built* on the current thread so far
-/// (cache misses; cache hits do not count).
-///
-/// Exposed so tests can pin that repeated engine constructions — in
-/// particular [`crate::AdaptiveSimulation`] handoffs — reuse the shared
-/// table instead of reconstructing it. The count lives in the telemetry
-/// layer's always-on gauge ([`crate::telemetry::survival_table_builds`]);
-/// this is a thin alias kept next to the cache it observes.
-pub fn survival_table_builds() -> u64 {
-    crate::telemetry::survival_table_builds()
-}
-
 /// A uniform draw in the open interval `(0, 1)`, so its log is finite.
 #[inline]
 fn open01(rng: &mut SimRng) -> f64 {
@@ -159,23 +150,20 @@ fn draw_from_multiset(rng: &mut SimRng, entries: &[(usize, u64)], total: u64) ->
 }
 
 /// A population-protocol execution resolving whole collision-bounded batches
-/// of interactions per statistical draw.
+/// of interactions per statistical draw — the
+/// [`crate::EngineKind::MultiBatch`] tier.
 ///
-/// Same `run_until` / [`MultiBatchSimulation::measure_stabilization`]
-/// surface as [`crate::BatchSimulation`] and usable with the same protocols
-/// — statically enumerated ([`EnumerableProtocol`]) or dynamically
-/// discovered ([`crate::indexer::DiscoveredProtocol`]). Prefer it when most
-/// interactions change state; prefer the batched engine when silence
+/// Usable with the same protocols as the batched tier — statically
+/// enumerated ([`EnumerableProtocol`]) or dynamically discovered
+/// ([`crate::indexer::DiscoveredProtocol`]). Prefer it when most
+/// interactions change state; prefer the batched tier when silence
 /// dominates.
-///
-/// [`Protocol::interact`]: crate::Protocol::interact
 #[derive(Debug)]
-pub struct MultiBatchSimulation<P: EnumerableProtocol> {
+pub(crate) struct MultiBatchSimulation<P: EnumerableProtocol> {
     protocol: P,
     counts: CountConfiguration,
     rng: SimRng,
     interactions: u64,
-    epochs: u64,
     ln_collision_survival: Rc<[f64]>,
     /// Observability handle; disabled by default, in which case every probe
     /// is an early-out on a `None` and the RNG stream is untouched.
@@ -183,125 +171,30 @@ pub struct MultiBatchSimulation<P: EnumerableProtocol> {
 }
 
 impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
-    /// Creates a multi-batch simulation from an explicit count
-    /// configuration, returning a typed error on invalid input.
-    ///
-    /// # Supported populations
-    ///
-    /// `2 ≤ n ≤ 2⁶²` ([`crate::count_config::MAX_POPULATION`]): collision
-    /// weights widen through `u128`, and memory is `O(#occupied states +
-    /// √n)` (the shared survival table holds `O(√n)` entries, built at most
-    /// once per thread and population). Larger populations yield
-    /// [`SimError::UnsupportedPopulation`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameters`] if the configuration's state count
-    /// does not match [`EnumerableProtocol::num_states`], its population
-    /// does not match [`crate::Protocol::population_size`], or the
-    /// population has fewer than two agents;
-    /// [`SimError::UnsupportedPopulation`] past the engine bound.
-    pub fn try_new(protocol: P, counts: CountConfiguration, seed: u64) -> Result<Self, SimError> {
-        validate_engine_inputs(&protocol, &counts)?;
-        let ln_collision_survival = shared_survival_table(counts.population());
-        Ok(MultiBatchSimulation {
+    /// Builds the engine from inputs `SimBuilder::try_build` validated.
+    /// Memory is `O(#occupied states + √n)`: the survival table holds
+    /// `O(√n)` entries, built at most once per thread and population.
+    pub(crate) fn from_parts(
+        protocol: P,
+        counts: CountConfiguration,
+        seed: u64,
+        telemetry: Telemetry,
+    ) -> Self {
+        MultiBatchSimulation {
+            ln_collision_survival: shared_survival_table(counts.population()),
             protocol,
             counts,
             rng: SimRng::seed_from_u64(seed),
             interactions: 0,
-            epochs: 0,
-            ln_collision_survival,
-            telemetry: Telemetry::disabled(),
-        })
-    }
-
-    /// Attaches a [`Telemetry`] handle; counters, the collision-length
-    /// histogram, and run spans recorded from now on land in its report.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// The attached [`Telemetry`] handle (disabled unless
-    /// [`Self::set_telemetry`] was called with an enabled one).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Creates a multi-batch simulation from an explicit count configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any input [`Self::try_new`] rejects.
-    pub fn new(protocol: P, counts: CountConfiguration, seed: u64) -> Self {
-        // lint:allow(panic): documented panicking wrapper; message pinned by should_panic test
-        Self::try_new(protocol, counts, seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a multi-batch simulation from a per-agent configuration.
-    ///
-    /// Supports the same population range as [`Self::try_new`], though the
-    /// per-agent input is itself `O(n)` — start from counts (or
-    /// [`Self::clean`]) for very large populations.
-    pub fn from_configuration(protocol: P, config: &Configuration<P::State>, seed: u64) -> Self {
-        let counts = CountConfiguration::from_configuration(&protocol, config);
-        Self::new(protocol, counts, seed)
-    }
-
-    /// Creates a multi-batch simulation from the protocol's clean initial
-    /// configuration.
-    ///
-    /// Builds the counts directly via
-    /// [`CountConfiguration::from_clean_init`] — no `O(n)` per-agent vector
-    /// is ever materialized. Supports the same population range as
-    /// [`Self::try_new`].
-    pub fn clean(protocol: P, seed: u64) -> Self
-    where
-        P: CleanInit,
-    {
-        let counts = CountConfiguration::from_clean_init(&protocol);
-        Self::new(protocol, counts, seed)
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The current configuration, as state counts.
-    pub fn counts(&self) -> &CountConfiguration {
-        &self.counts
-    }
-
-    /// Materializes the current configuration per agent (ordered by state
-    /// index; agents are anonymous).
-    pub fn to_configuration(&self) -> Configuration<P::State> {
-        self.counts.to_configuration(&self.protocol)
-    }
-
-    /// Number of interactions executed (all of them — the multi-batch engine
-    /// resolves every interaction, silent ones included).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Number of epochs (batches) executed — the quantity the engine's
-    /// running time is proportional to, each covering `Θ(√n)` interactions.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Parallel time elapsed so far (interactions divided by `n`).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.counts.population() as f64
+            telemetry,
+        }
     }
 
     /// Decomposes the simulation into its protocol and current count
-    /// configuration, discarding the RNG and the survival table.
-    ///
-    /// The engine-handoff primitive used by [`crate::AdaptiveSimulation`];
-    /// see [`crate::BatchSimulation::into_parts`] for the accounting
-    /// conventions.
-    pub fn into_parts(self) -> (P, CountConfiguration) {
+    /// configuration, discarding the RNG and the survival table — the
+    /// [`crate::AdaptiveSimulation`] handoff primitive (the interaction
+    /// counter is not carried; the adaptive engine sums retired counters).
+    pub(crate) fn into_parts(self) -> (P, CountConfiguration) {
         (self.protocol, self.counts)
     }
 
@@ -389,6 +282,11 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
 
     /// Advances by one epoch, truncated to `cap` interactions, and returns
     /// the number of interactions executed (at least 1).
+    ///
+    /// Kept out of line: it is large, and with [`CountTier::advance`] as its
+    /// only caller LLVM inlines it into the shared run loops, which made the
+    /// `elect-count` benchmark workload ~10% slower (2-vCPU VM).
+    #[inline(never)]
     fn advance_epoch(&mut self, cap: u64) -> u64 {
         debug_assert!(cap > 0);
         let n = self.counts.population();
@@ -484,110 +382,102 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
                 .count(Counter::MultiBatchCollisionInteractions, 1);
         }
         self.interactions += executed;
-        self.epochs += 1;
         self.telemetry
             .count(Counter::MultiBatchInteractions, executed);
         self.telemetry.count(Counter::MultiBatchEpochs, 1);
         executed
     }
+}
 
-    /// Executes exactly `budget` interactions (in epoch-sized batches) and
-    /// returns the number of epochs this took.
-    pub fn run(&mut self, budget: u64) -> u64 {
-        let _span = self.telemetry.span(SpanKind::MultiBatchRun);
-        let before = self.epochs;
-        let mut done = 0;
-        while done < budget {
-            done += self.advance_epoch(budget - done);
-        }
-        self.epochs - before
+/// Never stalls: the engine cannot detect a frozen configuration, so it
+/// keeps resolving (silent) epochs until the budget is spent — pair an
+/// unreachable predicate with a finite budget.
+impl<P: EnumerableProtocol> CountTier<P> for MultiBatchSimulation<P> {
+    fn advance(&mut self, cap: u64) -> (u64, bool) {
+        (self.advance_epoch(cap), false)
     }
 
-    /// Runs until `pred` holds for the current count configuration or
-    /// `budget` interactions have been executed by this call.
-    ///
-    /// The predicate is evaluated at epoch commits only — the interactions
-    /// inside an epoch have no defined intermediate order — so the reported
-    /// (relative) [`RunOutcome::interactions`] may overshoot the true hitting
-    /// time by up to one epoch, `O(√n)` interactions. Unlike
-    /// [`crate::BatchSimulation::run_until`], a frozen configuration is not
-    /// detected: the engine keeps resolving (silent) epochs until the budget
-    /// is spent, so pair an unreachable predicate with a finite budget.
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::MultiBatchRun);
-        let mut done = 0;
-        loop {
-            if pred(&self.counts) {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            done += self.advance_epoch(budget - done);
+    fn span(&self) -> (&Telemetry, SpanKind) {
+        (&self.telemetry, SpanKind::MultiBatchRun)
+    }
+}
+
+impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn counts(&self) -> &CountConfiguration {
+        &self.counts
+    }
+
+    fn to_configuration(&self) -> Configuration<P::State> {
+        self.counts.to_configuration(&self.protocol)
+    }
+
+    /// All of them — the multi-batch engine resolves every interaction,
+    /// silent ones included.
+    fn interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn predicate_granularity(&self) -> PredicateGranularity {
+        PredicateGranularity::EpochCommit {
+            expected_interactions: expected_epoch_length(self.counts.population()),
         }
     }
 
-    /// Measures the stabilization time of the output predicate `pred`, with
-    /// the same semantics as [`crate::Simulation::measure_stabilization`]:
-    /// [`StabilizationResult::stabilized_at`] is an **absolute** interaction
-    /// index, [`StabilizationResult::interactions`] is relative to this
-    /// call. The run stops early once the predicate has held for
-    /// `opts.confirm_window` consecutive interactions.
-    ///
-    /// `opts.check_every` is ignored: the predicate is evaluated at every
-    /// epoch commit, which already carries the engine's intrinsic `O(√n)`
-    /// observation granularity.
-    pub fn measure_stabilization<F>(
+    fn run(&mut self, budget: u64) -> u64 {
+        run_counts(self, budget)
+    }
+
+    fn run_until(
         &mut self,
-        mut pred: F,
+        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
+        budget: u64,
+    ) -> RunOutcome {
+        run_until_counts(self, pred, budget)
+    }
+
+    fn measure_stabilization(
+        &mut self,
+        pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
-    ) -> StabilizationResult
-    where
-        F: FnMut(&CountConfiguration) -> bool,
-    {
-        let _span = self.telemetry.span(SpanKind::MultiBatchRun);
-        let n = self.counts.population() as usize;
-        let start = self.interactions;
-        let mut detector = StabilizationDetector::new();
-        detector.observe(start, pred(&self.counts));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            let now = start + executed;
-            let mut cap = opts.budget - executed;
-            if detector.satisfied_now() {
-                let held = detector.consecutive(now);
-                if held >= opts.confirm_window {
-                    break;
-                }
-                // No need to simulate past the end of the confirmation
-                // window (epoch truncation is exact, see `advance_epoch`).
-                cap = cap.min(opts.confirm_window - held);
-            }
-            executed += self.advance_epoch(cap);
-            detector.observe(start + executed, pred(&self.counts));
-        }
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
+    ) -> StabilizationResult {
+        measure_counts(self, pred, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineKind, SimBuilder};
     use crate::epidemic::{OneWayEpidemic, TwoWayEpidemic, INFORMED};
-    use crate::protocol::{AgentId, Protocol};
+    use crate::protocol::{AgentId, CleanInit, Protocol};
+    use crate::telemetry::survival_table_builds;
+
+    /// A clean-start engine built as `SimBuilder` builds it, kept concrete
+    /// so tests can inspect the survival table.
+    fn clean<P: EnumerableProtocol + CleanInit>(
+        protocol: P,
+        seed: u64,
+        telemetry: &Telemetry,
+    ) -> MultiBatchSimulation<P> {
+        let counts = CountConfiguration::from_clean_init(&protocol);
+        MultiBatchSimulation::from_parts(protocol, counts, seed, telemetry.clone())
+    }
+
+    fn all_informed(c: &CountConfiguration) -> bool {
+        c.count(INFORMED) == c.population()
+    }
+
+    /// Epochs executed so far, from the telemetry counter.
+    fn epochs(telemetry: &Telemetry) -> u64 {
+        telemetry
+            .report()
+            .expect("enabled handle")
+            .counter(Counter::MultiBatchEpochs)
+    }
 
     #[test]
     fn survival_table_is_descending_and_anchored() {
@@ -618,25 +508,31 @@ mod tests {
         // gives each test its own thread) uses.
         let n = 77_777;
         let before = survival_table_builds();
-        let a = MultiBatchSimulation::clean(OneWayEpidemic::new(n, 1), 1);
-        let b = MultiBatchSimulation::clean(OneWayEpidemic::new(n, 1), 2);
+        let a = clean(OneWayEpidemic::new(n, 1), 1, &Telemetry::disabled());
+        let b = clean(OneWayEpidemic::new(n, 1), 2, &Telemetry::disabled());
         assert_eq!(survival_table_builds(), before + 1);
         assert!(Rc::ptr_eq(
             &a.ln_collision_survival,
             &b.ln_collision_survival
         ));
         // A different population is a genuine miss.
-        let _c = MultiBatchSimulation::clean(OneWayEpidemic::new(n + 2, 1), 3);
+        let _c = clean(OneWayEpidemic::new(n + 2, 1), 3, &Telemetry::disabled());
         assert_eq!(survival_table_builds(), before + 2);
     }
 
     #[test]
     fn try_new_rejects_populations_past_the_engine_bound() {
         use crate::count_config::MAX_POPULATION;
+        use crate::SimError;
         let over = MAX_POPULATION / 2 + 1;
         let p = OneWayEpidemic::new((2 * over) as usize, over as usize);
         let counts = CountConfiguration::from_counts(vec![over, over]);
-        let err = MultiBatchSimulation::try_new(p, counts, 0).unwrap_err();
+        let builder = SimBuilder::new(p)
+            .kind(EngineKind::MultiBatch)
+            .counts(counts);
+        let Err(err) = builder.try_build() else {
+            panic!("population past MAX_POPULATION accepted");
+        };
         assert_eq!(
             err,
             SimError::UnsupportedPopulation {
@@ -648,29 +544,29 @@ mod tests {
 
     #[test]
     fn two_agents_always_collide_on_the_second_interaction() {
-        let p = TwoWayEpidemic::new(2, 1);
-        let mut sim = MultiBatchSimulation::clean(p, 5);
+        let telemetry = Telemetry::enabled();
+        let mut sim = clean(TwoWayEpidemic::new(2, 1), 5, &telemetry);
         // Every epoch is exactly length-1 free + 1 collision = 2 interactions.
         sim.run(10);
         assert_eq!(sim.interactions(), 10);
-        assert_eq!(sim.epochs(), 5);
+        assert_eq!(epochs(&telemetry), 5);
         assert_eq!(sim.counts().count(INFORMED), 2);
     }
 
     #[test]
     fn multibatch_epidemic_reaches_everyone() {
-        let p = OneWayEpidemic::new(256, 1);
-        let mut sim = MultiBatchSimulation::clean(p, 7);
-        let out = sim.run_until(|c| c.count(INFORMED) == c.population(), 10_000_000);
+        let telemetry = Telemetry::enabled();
+        let mut sim = clean(OneWayEpidemic::new(256, 1), 7, &telemetry);
+        let out = sim.run_until(&mut all_informed, 10_000_000);
         assert!(out.satisfied);
         assert_eq!(sim.counts().count(INFORMED), 256);
         assert_eq!(sim.counts().count(0), 0);
         // Far fewer epochs than interactions: batching actually happened.
         assert!(out.interactions > 255, "got {}", out.interactions);
+        let epochs = epochs(&telemetry);
         assert!(
-            sim.epochs() < out.interactions / 4,
-            "{} epochs for {} interactions",
-            sim.epochs(),
+            epochs < out.interactions / 4,
+            "{epochs} epochs for {} interactions",
             out.interactions
         );
         assert_eq!(sim.interactions(), out.interactions);
@@ -680,18 +576,17 @@ mod tests {
     fn silent_configuration_still_counts_interactions() {
         // Everyone already informed: every interaction is a no-op, but the
         // multi-batch engine resolves (and counts) all of them.
-        let p = TwoWayEpidemic::new(64, 64);
-        let mut sim = MultiBatchSimulation::clean(p, 3);
-        let epochs = sim.run(100_000);
-        assert!(epochs > 0);
+        let telemetry = Telemetry::enabled();
+        let mut sim = clean(TwoWayEpidemic::new(64, 64), 3, &telemetry);
+        sim.run(100_000);
+        assert!(epochs(&telemetry) > 0);
         assert_eq!(sim.interactions(), 100_000);
         assert_eq!(sim.counts().count(INFORMED), 64);
     }
 
     #[test]
     fn run_executes_exactly_the_budget() {
-        let p = OneWayEpidemic::new(1_000, 1);
-        let mut sim = MultiBatchSimulation::clean(p, 11);
+        let mut sim = clean(OneWayEpidemic::new(1_000, 1), 11, &Telemetry::disabled());
         // A budget far below one mean epoch length still lands exactly.
         sim.run(3);
         assert_eq!(sim.interactions(), 3);
@@ -701,9 +596,8 @@ mod tests {
 
     #[test]
     fn run_until_budget_exhaustion_reports_unsatisfied() {
-        let p = OneWayEpidemic::new(64, 1);
-        let mut sim = MultiBatchSimulation::clean(p, 5);
-        let out = sim.run_until(|c| c.count(INFORMED) == c.population(), 10);
+        let mut sim = clean(OneWayEpidemic::new(64, 1), 5, &Telemetry::disabled());
+        let out = sim.run_until(&mut all_informed, 10);
         assert!(!out.satisfied);
         assert_eq!(out.interactions, 10);
     }
@@ -711,10 +605,10 @@ mod tests {
     #[test]
     fn fixed_seed_is_deterministic() {
         let run = |seed: u64| {
-            let p = OneWayEpidemic::new(128, 1);
-            let mut sim = MultiBatchSimulation::clean(p, seed);
-            let out = sim.run_until(|c| c.count(INFORMED) == c.population(), 10_000_000);
-            (out.interactions, sim.epochs(), sim.counts().clone())
+            let telemetry = Telemetry::enabled();
+            let mut sim = clean(OneWayEpidemic::new(128, 1), seed, &telemetry);
+            let out = sim.run_until(&mut all_informed, 10_000_000);
+            (out.interactions, epochs(&telemetry), sim.counts().clone())
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11).0, run(12).0);
@@ -722,10 +616,9 @@ mod tests {
 
     #[test]
     fn measure_stabilization_finds_epidemic_completion() {
-        let p = TwoWayEpidemic::new(128, 1);
-        let mut sim = MultiBatchSimulation::clean(p, 3);
+        let mut sim = clean(TwoWayEpidemic::new(128, 1), 3, &Telemetry::disabled());
         let opts = StabilizationOptions::new(128, 10_000_000).confirm_window(5_000);
-        let res = sim.measure_stabilization(|c| c.count(INFORMED) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut all_informed, opts);
         assert!(res.stabilized());
         let t = res.stabilized_at.unwrap();
         assert!(t > 0 && t < 10_000_000);
@@ -735,10 +628,9 @@ mod tests {
 
     #[test]
     fn measure_stabilization_respects_the_confirm_window_on_silent_starts() {
-        let p = TwoWayEpidemic::new(32, 32);
-        let mut sim = MultiBatchSimulation::clean(p, 1);
+        let mut sim = clean(TwoWayEpidemic::new(32, 32), 1, &Telemetry::disabled());
         let opts = StabilizationOptions::new(32, 1_000_000).confirm_window(1_000);
-        let res = sim.measure_stabilization(|c| c.count(INFORMED) == c.population(), opts);
+        let res = sim.measure_stabilization(&mut all_informed, opts);
         assert!(res.stabilized());
         assert_eq!(res.stabilized_at, Some(0));
         assert!(res.interactions <= 1_000);
@@ -747,17 +639,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match")]
     fn mismatched_population_panics() {
-        let p = OneWayEpidemic::new(8, 1);
-        let counts = CountConfiguration::from_counts(vec![3, 1]);
-        let _ = MultiBatchSimulation::new(p, counts, 0);
+        let _ = SimBuilder::new(OneWayEpidemic::new(8, 1))
+            .counts(CountConfiguration::from_counts(vec![3, 1]))
+            .kind(EngineKind::MultiBatch)
+            .build();
     }
 
     #[test]
     #[should_panic(expected = "state space")]
     fn mismatched_state_space_panics() {
-        let p = OneWayEpidemic::new(8, 1);
-        let counts = CountConfiguration::from_counts(vec![4, 3, 1]);
-        let _ = MultiBatchSimulation::new(p, counts, 0);
+        let _ = SimBuilder::new(OneWayEpidemic::new(8, 1))
+            .counts(CountConfiguration::from_counts(vec![4, 3, 1]))
+            .kind(EngineKind::MultiBatch)
+            .build();
     }
 
     /// A randomized protocol with an enumerated two-outcome support: the
@@ -817,7 +711,7 @@ mod tests {
 
     #[test]
     fn randomized_supports_conserve_the_population() {
-        let mut sim = MultiBatchSimulation::clean(FlipCoin { n: 200 }, 9);
+        let mut sim = clean(FlipCoin { n: 200 }, 9, &Telemetry::disabled());
         for _ in 0..50 {
             sim.run(500);
             let total: u64 = sim.counts().counts().iter().sum();
@@ -825,7 +719,7 @@ mod tests {
         }
         // The consensus walk eventually absorbs in an all-equal state.
         let out = sim.run_until(
-            |c| c.count(0) == c.population() || c.count(1) == c.population(),
+            &mut |c| c.count(0) == c.population() || c.count(1) == c.population(),
             50_000_000,
         );
         assert!(out.satisfied);
@@ -868,7 +762,7 @@ mod tests {
 
     #[test]
     fn blind_transitions_conserve_the_population() {
-        let mut sim = MultiBatchSimulation::clean(BlindShuffle { n: 60, k: 5 }, 21);
+        let mut sim = clean(BlindShuffle { n: 60, k: 5 }, 21, &Telemetry::disabled());
         sim.run(5_000);
         assert_eq!(sim.interactions(), 5_000);
         assert_eq!(sim.counts().counts().iter().sum::<u64>(), 60);

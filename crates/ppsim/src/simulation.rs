@@ -20,8 +20,8 @@ use crate::rng::SimRng;
 use crate::scheduler::{OrderedPair, Scheduler, UniformScheduler};
 use serde::Serialize;
 
-/// Outcome of [`Simulation::run_until`] (and of
-/// [`crate::BatchSimulation::run_until`], which shares the convention).
+/// Outcome of [`Simulation::run_until`] (and of every engine's
+/// [`crate::SimulationEngine::run_until`], which shares the convention).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RunOutcome {
     /// Number of interactions executed **by this call** — a relative count,

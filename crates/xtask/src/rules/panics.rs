@@ -2,7 +2,7 @@
 //! conditions.
 //!
 //! `crates/ppsim/src/` routes fallible construction and stepping through the
-//! typed `SimError` (`try_new`, `try_run_until`, ..), and the experiment
+//! typed `SimError` (`SimBuilder::try_build`, ..), and the experiment
 //! daemon/client (`crates/ssle-server/src/`, `crates/ssle-client/src/`)
 //! route theirs through `ServiceError` and friends — a panicking request
 //! handler or worker takes the whole daemon down, so the long-lived service

@@ -18,12 +18,15 @@
 //! flake.
 
 use baselines::{DirectCollisionSsle, LooselyStabilizingLe};
-use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
+use ppsim::convergence::StabilizationResult;
+use ppsim::digest::hex16;
+use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic, TwoWayEpidemic, INFORMED};
 use ppsim::simulation::StabilizationOptions;
 use ppsim::stats::ks_distance;
+use ppsim::telemetry::Counter;
 use ppsim::{
-    AdaptiveConfig, BatchSimulation, CountConfiguration, DiscoveredProtocol, EngineKind,
-    MultiBatchSimulation, SimBuilder, Summary, TrialFleet,
+    AdaptiveConfig, CountConfiguration, DiscoveredProtocol, EngineKind, Fnv64, SimBuilder,
+    SimulationEngine, Summary, Telemetry, TrialFleet,
 };
 use ssle_core::{output, ElectLeader};
 
@@ -290,7 +293,7 @@ fn engines_agree_on_elect_leader_stabilization_times() {
 }
 
 /// Acceptance check of the multi-batch engine on the paper's own protocol:
-/// `ElectLeader_r` runs under `MultiBatchSimulation` via
+/// `ElectLeader_r` runs under the multi-batch tier via
 /// `DiscoveredProtocol` — randomized ranking draws take the blind path,
 /// deterministic ticks batch through the memoized supports — and its
 /// stabilization-time distribution matches the per-step engine's.
@@ -329,17 +332,34 @@ fn auto_agrees_on_elect_leader_stabilization_times() {
     );
 }
 
+/// A clean one-way epidemic run to completion under a fixed count tier,
+/// returning the run's interactions, its telemetry report and the final
+/// counts.
+fn traced_epidemic(
+    kind: EngineKind,
+    n: usize,
+    seed: u64,
+) -> (u64, ppsim::TelemetryReport, CountConfiguration) {
+    let telemetry = Telemetry::enabled();
+    let mut sim = SimBuilder::new(OneWayEpidemic::new(n, 1))
+        .kind(kind)
+        .seed(seed)
+        .telemetry(telemetry.clone())
+        .build();
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
+    assert!(out.satisfied);
+    let report = telemetry.report().expect("enabled handle has a report");
+    (out.interactions, report, sim.counts().clone())
+}
+
 #[test]
 fn fixed_seed_reproduces_the_exact_trajectory() {
     let run = |seed: u64| -> (u64, u64, CountConfiguration) {
-        let protocol = OneWayEpidemic::new(N, 1);
-        let mut sim = BatchSimulation::clean(protocol, seed);
-        let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
-        assert!(out.satisfied);
+        let (interactions, report, counts) = traced_epidemic(EngineKind::Batched, N, seed);
         (
-            out.interactions,
-            sim.active_interactions(),
-            sim.counts().clone(),
+            interactions,
+            report.counter(Counter::BatchedActiveInteractions),
+            counts,
         )
     };
     let (interactions, active, counts) = run(123);
@@ -356,23 +376,21 @@ fn fixed_seed_reproduces_the_exact_trajectory() {
 /// commit message.
 #[test]
 fn batched_trajectory_snapshot_is_stable() {
-    let protocol = OneWayEpidemic::new(256, 1);
-    let mut sim = BatchSimulation::clean(protocol, 42);
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
-    assert!(out.satisfied);
-    assert_eq!(sim.counts().counts(), &[0, 256]);
-    assert_eq!(sim.active_interactions(), 255);
-    assert_eq!(out.interactions, 3_143, "trajectory snapshot moved");
+    let (interactions, report, counts) = traced_epidemic(EngineKind::Batched, 256, 42);
+    assert_eq!(counts.counts(), &[0, 256]);
+    assert_eq!(report.counter(Counter::BatchedActiveInteractions), 255);
+    assert_eq!(interactions, 3_143, "trajectory snapshot moved");
 }
 
 #[test]
 fn multibatch_fixed_seed_reproduces_the_exact_trajectory() {
     let run = |seed: u64| -> (u64, u64, CountConfiguration) {
-        let protocol = OneWayEpidemic::new(N, 1);
-        let mut sim = MultiBatchSimulation::clean(protocol, seed);
-        let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
-        assert!(out.satisfied);
-        (out.interactions, sim.epochs(), sim.counts().clone())
+        let (interactions, report, counts) = traced_epidemic(EngineKind::MultiBatch, N, seed);
+        (
+            interactions,
+            report.counter(Counter::MultiBatchEpochs),
+            counts,
+        )
     };
     let (interactions, epochs, counts) = run(123);
     let (interactions2, epochs2, counts2) = run(123);
@@ -390,13 +408,14 @@ fn multibatch_fixed_seed_reproduces_the_exact_trajectory() {
 /// message.
 #[test]
 fn multibatch_trajectory_snapshot_is_stable() {
-    let protocol = OneWayEpidemic::new(256, 1);
-    let mut sim = MultiBatchSimulation::clean(protocol, 42);
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
-    assert!(out.satisfied);
-    assert_eq!(sim.counts().counts(), &[0, 256]);
-    assert_eq!(out.interactions, 3_065, "trajectory snapshot moved");
-    assert_eq!(sim.epochs(), 284, "epoch-count snapshot moved");
+    let (interactions, report, counts) = traced_epidemic(EngineKind::MultiBatch, 256, 42);
+    assert_eq!(counts.counts(), &[0, 256]);
+    assert_eq!(interactions, 3_065, "trajectory snapshot moved");
+    assert_eq!(
+        report.counter(Counter::MultiBatchEpochs),
+        284,
+        "epoch-count snapshot moved"
+    );
 }
 
 /// Determinism of the adaptive engine, handoffs included: a fixed seed
@@ -461,12 +480,100 @@ fn auto_handoff_preserves_absolute_interaction_indices() {
 /// configuration preserves the multiset.
 #[test]
 fn batched_final_state_converts_to_a_full_configuration() {
-    let protocol = OneWayEpidemic::new(100, 7);
-    let mut sim = BatchSimulation::clean(protocol, 5);
+    let mut sim = SimBuilder::new(OneWayEpidemic::new(100, 7))
+        .kind(EngineKind::Batched)
+        .seed(5)
+        .build();
     sim.run(1_000);
     let config = sim.to_configuration();
     assert_eq!(config.len(), 100);
     let informed = config.count_where(|s| *s);
     assert_eq!(informed as u64, sim.counts().count(1));
     assert!(informed >= 7, "sources stay informed");
+}
+
+/// Folds one stabilization measurement into `digest`: the executed count,
+/// then the stabilization index (`u64::MAX` when the run never stabilized).
+fn fold_stabilization(digest: &mut Fnv64, result: &StabilizationResult) {
+    digest.write_u64(result.interactions);
+    digest.write_u64(result.stabilized_at.unwrap_or(u64::MAX));
+}
+
+/// The engine-refactor pin: one digest over `measure_stabilization` for every
+/// [`EngineKind`] — `ElectLeader_r` through the dynamic indexer at three
+/// `(n, r)` cells, a stalled two-way epidemic, and a short-window two-way
+/// epidemic — plus one `Auto` run whose tight policy forces handoffs. Any
+/// change to the run loops, the engines' RNG consumption, or the Auto
+/// switching order moves it. Update it only for an intentional
+/// trajectory-affecting change, and say so in the commit message.
+#[test]
+fn stabilization_digest_is_pinned_across_engine_kinds() {
+    let mut digest = Fnv64::new();
+    for kind in [
+        EngineKind::PerStep,
+        EngineKind::Batched,
+        EngineKind::MultiBatch,
+        EngineKind::Auto,
+    ] {
+        for (n, r) in [(8usize, 2usize), (12, 3), (16, 4)] {
+            for seed in 0..3u64 {
+                let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
+                let opts = StabilizationOptions::new(n, protocol.params().suggested_budget());
+                let discovered = DiscoveredProtocol::new(protocol);
+                let handle = discovered.clone();
+                let mut sim = SimBuilder::new(discovered).kind(kind).seed(seed).build();
+                let result = sim.measure_stabilization(
+                    &mut |c| output::is_correct_output_counts(&handle, c),
+                    opts,
+                );
+                fold_stabilization(&mut digest, &result);
+            }
+        }
+        let mut all_informed = |c: &CountConfiguration| c.count(INFORMED) == c.population();
+        let mut stalled = SimBuilder::new(TwoWayEpidemic::new(64, 64))
+            .kind(kind)
+            .seed(5)
+            .build();
+        let opts = StabilizationOptions::new(64, 1_000_000).confirm_window(3_000);
+        fold_stabilization(
+            &mut digest,
+            &stalled.measure_stabilization(&mut all_informed, opts),
+        );
+        let mut spreading = SimBuilder::new(TwoWayEpidemic::new(64, 1))
+            .kind(kind)
+            .seed(6)
+            .build();
+        let opts = StabilizationOptions::new(64, 1_000_000).confirm_window(40);
+        fold_stabilization(
+            &mut digest,
+            &spreading.measure_stabilization(&mut all_informed, opts),
+        );
+    }
+    // `ElectLeader_r` keeps every pair active, so Auto never leaves
+    // multi-batch on it; the sparse one-way epidemic crosses the band both
+    // ways.
+    let mut sim = SimBuilder::new(OneWayEpidemic::new(512, 1))
+        .seed(11)
+        .adaptive_config(AdaptiveConfig {
+            low_activity: 0.05,
+            high_activity: 0.10,
+            check_interval: 64,
+        })
+        .build_adaptive();
+    let opts = StabilizationOptions::new(512, 1_000_000).confirm_window(2_000);
+    let result = sim.measure_stabilization(|c| c.count(INFORMED) == c.population(), opts);
+    fold_stabilization(&mut digest, &result);
+    digest.write_u64(sim.handoffs());
+    eprintln!(
+        "handoffs {} {:?} {}",
+        sim.handoffs(),
+        result,
+        hex16(digest.finish())
+    );
+    assert!(sim.handoffs() >= 2, "the tight policy must force handoffs");
+    assert_eq!(
+        hex16(digest.finish()),
+        "7e03f041f51e1a3f",
+        "stabilization digest moved"
+    );
 }

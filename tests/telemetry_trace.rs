@@ -4,13 +4,12 @@
 //! thread counts, and an adaptive run's trace must record every handoff at
 //! exactly the absolute interaction indices engine introspection reports.
 
-use ppsim::engine::PerStepEngine;
 use ppsim::epidemic::OneWayEpidemic;
 use ppsim::simulation::StabilizationOptions;
 use ppsim::telemetry::{Counter, TraceEvent};
 use ppsim::{
-    AdaptiveConfig, BatchSimulation, EngineKind, MultiBatchSimulation, SimBuilder, Telemetry,
-    TelemetryReport, TrialFleet,
+    AdaptiveConfig, EngineKind, SimBuilder, SimulationEngine, Telemetry, TelemetryReport,
+    TrialFleet,
 };
 
 /// The forced-switching policy the handoff-boundary regression in
@@ -71,38 +70,37 @@ fn enabled_telemetry_leaves_trajectories_untouched() {
     }
 }
 
+/// Runs the snapshot epidemic (n = 256, seed 42) to completion under a
+/// fixed tier with telemetry on: the run's interactions and its report.
+fn watched_snapshot(kind: EngineKind) -> (u64, TelemetryReport) {
+    let telemetry = Telemetry::enabled();
+    let mut sim = SimBuilder::new(OneWayEpidemic::new(256, 1))
+        .kind(kind)
+        .seed(42)
+        .telemetry(telemetry.clone())
+        .build();
+    let out = sim.run_until(&mut |c| c.count(1) == c.population(), u64::MAX);
+    assert!(out.satisfied);
+    let report = telemetry.report().expect("enabled handle has a report");
+    (out.interactions, report)
+}
+
 /// The pinned trajectory snapshots (the same constants
 /// `integration_batched.rs` guards) must hold with telemetry enabled — and
-/// the counters must agree with the engines' own introspection.
+/// the counters must agree with them.
 #[test]
 fn pinned_snapshots_hold_with_telemetry_enabled() {
-    let telemetry = Telemetry::enabled();
-    let mut sim = BatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
-    sim.set_telemetry(telemetry.clone());
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
-    assert!(out.satisfied);
-    assert_eq!(out.interactions, 3_143, "batched snapshot moved");
-    let report = telemetry.report().expect("enabled handle has a report");
+    let (interactions, report) = watched_snapshot(EngineKind::Batched);
+    assert_eq!(interactions, 3_143, "batched snapshot moved");
     assert_eq!(report.counter(Counter::BatchedInteractions), 3_143);
-    assert_eq!(
-        report.counter(Counter::BatchedActiveInteractions),
-        sim.active_interactions()
-    );
+    // Exactly n − 1 interactions inform a new agent.
+    assert_eq!(report.counter(Counter::BatchedActiveInteractions), 255);
     assert!(report.counter(Counter::BatchedFenwickUpdates) > 0);
     // The one-way epidemic has a single non-silent pair: every pick forced.
-    assert_eq!(
-        report.counter(Counter::BatchedForcedPicks),
-        sim.active_interactions()
-    );
+    assert_eq!(report.counter(Counter::BatchedForcedPicks), 255);
 
-    let telemetry = Telemetry::enabled();
-    let mut sim = MultiBatchSimulation::clean(OneWayEpidemic::new(256, 1), 42);
-    sim.set_telemetry(telemetry.clone());
-    let out = sim.run_until(|c| c.count(1) == c.population(), u64::MAX);
-    assert!(out.satisfied);
-    assert_eq!(out.interactions, 3_065, "multibatch snapshot moved");
-    assert_eq!(sim.epochs(), 284, "epoch-count snapshot moved");
-    let report = telemetry.report().expect("enabled handle has a report");
+    let (interactions, report) = watched_snapshot(EngineKind::MultiBatch);
+    assert_eq!(interactions, 3_065, "multibatch snapshot moved");
     assert_eq!(report.counter(Counter::MultiBatchInteractions), 3_065);
     assert_eq!(report.counter(Counter::MultiBatchEpochs), 284);
     assert_eq!(report.collision_length().count, 284);
@@ -117,22 +115,30 @@ fn pinned_snapshots_hold_with_telemetry_enabled() {
 /// contract says they can: on the per-step engine, when telemetry is on.
 #[test]
 fn per_step_engine_maintains_interaction_metrics_when_watched() {
+    let per_step = |telemetry: &Telemetry| {
+        SimBuilder::new(OneWayEpidemic::new(64, 1))
+            .kind(EngineKind::PerStep)
+            .seed(3)
+            .telemetry(telemetry.clone())
+            .build()
+    };
     let telemetry = Telemetry::enabled();
-    let mut sim = PerStepEngine::clean(OneWayEpidemic::new(64, 1), 3);
-    sim.set_telemetry(telemetry.clone());
-    let executed = sim.run(5_000);
-    let metrics = sim.interaction_metrics().expect("metrics on while watched");
-    assert_eq!(metrics.total(), executed, "every interaction recorded");
+    let executed = per_step(&telemetry).run(5_000);
     let report = telemetry.report().unwrap();
     assert_eq!(report.counter(Counter::PerStepInteractions), executed);
     let balance = report.balance().expect("balance summary flushed");
     assert_eq!(balance.n, 64);
-    assert_eq!(balance.total, executed);
+    assert_eq!(balance.total, executed, "every interaction recorded");
     assert!(balance.min <= balance.max);
-    // Unwatched engines keep no metrics.
-    let mut bare = PerStepEngine::clean(OneWayEpidemic::new(64, 1), 3);
-    bare.run(100);
-    assert!(bare.interaction_metrics().is_none());
+    // The count tiers keep no per-agent load.
+    for kind in [EngineKind::Batched, EngineKind::MultiBatch] {
+        let (_, report) = watched_snapshot(kind);
+        assert!(report.balance().is_none(), "{kind:?}");
+    }
+    // Unwatched engines record nothing.
+    let bare = Telemetry::disabled();
+    per_step(&bare).run(100);
+    assert!(bare.report().is_none());
 }
 
 /// One trial of the fleet-aggregated trace: a small adaptive epidemic with
