@@ -38,7 +38,8 @@ use ppsim::simulation::StabilizationOptions;
 use ppsim::{Configuration, SimRng, Simulation};
 use ssle_core::{output, ElectLeader, Scenario};
 
-/// Runs every experiment at the given scale, in E1…E11 order.
+/// Runs every experiment at the given scale: the thirteen tables E1…E11,
+/// F1 (fleet throughput) and P1 (engine profile), in that order.
 pub fn all(scale: Scale) -> Vec<Table> {
     vec![
         tradeoff::e1_tradeoff_time(scale),

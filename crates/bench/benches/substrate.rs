@@ -3,7 +3,8 @@
 
 use analysis::experiments::substrate::load_balancing_meetings;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppsim::epidemic::{measure_epidemic_time, OneWayEpidemic};
+use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
+use ppsim::EngineKind;
 use std::time::Duration;
 
 fn bench_epidemic(c: &mut Criterion) {
@@ -15,7 +16,12 @@ fn bench_epidemic(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                measure_epidemic_time(OneWayEpidemic::new(n, 1), seed, (200 * n * n) as u64)
+                measure_epidemic_time_with(
+                    OneWayEpidemic::new(n, 1),
+                    EngineKind::PerStep,
+                    seed,
+                    (200 * n * n) as u64,
+                )
             });
         });
     }

@@ -8,7 +8,7 @@
 //!
 //! The first argument selects the experiment (`e1` … `e11`, `fleet`, `p1`,
 //! `sweep`, or `all`), the second the scale (`tiny`, `quick`, `full`;
-//! default `quick`). With
+//! default `quick`; any other token is rejected). With
 //! `--csv <dir>` every table is additionally written as a CSV file and as a
 //! JSON document into the given directory. With `--trace <path>` the driver
 //! additionally runs one telemetry-instrumented adaptive epidemic (the P1
@@ -67,10 +67,14 @@ fn main() {
         .map(|s| s.as_str())
         .unwrap_or("all")
         .to_string();
-    let scale = positionals
-        .get(1)
-        .and_then(|a| Scale::parse(a))
-        .unwrap_or(Scale::Quick);
+    let scale = match parse_scale(positionals.get(1).map(|s| s.as_str())) {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("{e}");
+            print_usage();
+            std::process::exit(1);
+        }
+    };
 
     if let Some(addr) = remote_addr {
         run_remote(&addr, &selection, scale);
@@ -143,6 +147,15 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote reference telemetry trace to {}", path.display());
+    }
+}
+
+/// The scale named by the second positional argument: [`Scale::Quick`] when
+/// it is absent, an "unknown scale" error when it names no scale.
+fn parse_scale(token: Option<&str>) -> Result<Scale, String> {
+    match token {
+        None => Ok(Scale::Quick),
+        Some(token) => Scale::parse(token).ok_or_else(|| format!("unknown scale '{token}'")),
     }
 }
 
@@ -234,4 +247,20 @@ fn print_usage() {
     eprintln!("  fleet trial-fleet throughput: trials/sec at 1 vs N worker threads");
     eprintln!("  p1  engine instrumentation profile: ns/interaction by mode (telemetry spans)");
     eprintln!("  sweep deterministic epidemic sweep (timing-free; the service's native workload)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_token_defaults_to_quick_and_rejects_unknown_tokens() {
+        assert_eq!(parse_scale(None), Ok(Scale::Quick));
+        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        assert_eq!(
+            parse_scale(Some("ful")),
+            Err("unknown scale 'ful'".to_string())
+        );
+    }
 }

@@ -24,7 +24,7 @@
 //! # Sparse pair-weight maintenance
 //!
 //! The sampling weights of the non-silent ordered state pairs are kept in a
-//! [`PairIndex`]: a Fenwick (binary indexed) tree over the pairs of states
+//! `PairIndex`: a Fenwick (binary indexed) tree over the pairs of states
 //! that are **currently occupied**, updated incrementally in
 //! `O(#pairs touched · log #pairs)` when a transition changes two counts.
 //! Nothing is enumerated up front — neither the state space nor the `|Q|²`
@@ -49,13 +49,11 @@
 use crate::configuration::Configuration;
 use crate::convergence::StabilizationResult;
 use crate::count_config::CountConfiguration;
-use crate::engine::{
-    measure_counts, run_counts, run_until_counts, CountTier, PredicateGranularity, SimulationEngine,
-};
+use crate::engine::{PredicateGranularity, SimulationEngine};
 use crate::enumerable::EnumerableProtocol;
 use crate::protocol::InteractionCtx;
 use crate::rng::{uniform_below_u128, SimRng};
-use crate::simulation::{RunOutcome, StabilizationOptions};
+use crate::simulation::{self, RunOutcome, StabilizationOptions, Stepper};
 use crate::telemetry::{Counter, SpanKind, Telemetry};
 use rand::distributions::{Distribution, Geometric};
 use rand::RngCore;
@@ -568,7 +566,7 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
 
     /// Advances by one batch: a sampled run of silent interactions followed
     /// by one non-silent interaction, truncated to `budget` interactions in
-    /// total. Returns `(executed, stalled)` as [`CountTier::advance`]:
+    /// total. Returns `(executed, stalled)` as `Stepper::advance` does:
     /// stalled means no non-silent state pair is occupied, so the whole
     /// budget was consumed as silence.
     fn advance_batch(&mut self, budget: u64) -> (u64, bool) {
@@ -660,13 +658,27 @@ impl<P: EnumerableProtocol> BatchSimulation<P> {
     }
 }
 
-impl<P: EnumerableProtocol> CountTier<P> for BatchSimulation<P> {
+impl<P: EnumerableProtocol> Stepper for BatchSimulation<P> {
+    type View = CountConfiguration;
+
+    fn view(&self) -> &CountConfiguration {
+        &self.counts
+    }
+
+    fn total_interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn population(&self) -> usize {
+        self.counts.population() as usize
+    }
+
     fn advance(&mut self, cap: u64) -> (u64, bool) {
         self.advance_batch(cap)
     }
 
-    fn span(&self) -> (&Telemetry, SpanKind) {
-        (&self.telemetry, SpanKind::BatchedRun)
+    fn span(&self) -> Option<(&Telemetry, SpanKind)> {
+        Some((&self.telemetry, SpanKind::BatchedRun))
     }
 }
 
@@ -692,7 +704,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
     }
 
     fn run(&mut self, budget: u64) -> u64 {
-        run_counts(self, budget)
+        simulation::run(self, budget)
     }
 
     fn run_until(
@@ -700,7 +712,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        run_until_counts(self, pred, budget)
+        simulation::run_until(self, pred, budget)
     }
 
     fn measure_stabilization(
@@ -708,7 +720,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for BatchSimulation<P> {
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult {
-        measure_counts(self, pred, opts)
+        simulation::measure_stabilization(self, pred, opts)
     }
 }
 

@@ -21,33 +21,27 @@
 //!
 //! The per-step tier wraps a [`Simulation`] in an incrementally maintained
 //! count mirror (two `encode` calls per interaction), so per-step runs serve
-//! the same count predicates as the count tiers at O(1) per check. The three
-//! count tiers — batched, multi-batch and auto — differ only in how they
-//! take one step; one `run`, `run_until` and `measure_stabilization` loop
-//! drives all three.
+//! the same count predicates as the count tiers at O(1) per check. Every
+//! tier differs from the others only in how it takes one step; the `run`,
+//! `run_until` and `measure_stabilization` loops of [`crate::simulation`]
+//! drive all four, and the bare [`Simulation`] too.
 //!
 //! # Predicate granularity
 //!
 //! The engines observe stop/stabilization predicates at different points,
 //! and this is the **one** place the contract is written down:
 //!
+//! * [`EngineKind::PerStep`] evaluates predicates after every interaction
+//!   ([`PredicateGranularity::Interaction`]).
 //! * [`EngineKind::Batched`] evaluates predicates after every state-changing
 //!   interaction — exact, because silent interactions cannot change the
 //!   configuration ([`PredicateGranularity::Interaction`]).
-//! * [`EngineKind::PerStep`] evaluates predicates every
-//!   [`SimBuilder::check_every`] interactions
-//!   ([`PredicateGranularity::Every`]): hitting times overshoot by less than
-//!   the stride.
 //! * [`EngineKind::MultiBatch`] evaluates predicates at epoch commits — the
 //!   interactions inside an epoch have no defined intermediate order — so
 //!   hitting times carry `O(√n)` observation granularity
 //!   ([`PredicateGranularity::EpochCommit`]).
 //! * [`EngineKind::Auto`] reports the granularity of whichever engine is
 //!   currently active.
-//!
-//! `StabilizationOptions::check_every` is honored by the per-step engine
-//! only; the count engines already observe at their intrinsic granularity
-//! (see the table above) and ignore it.
 //!
 //! # Quick example
 //!
@@ -68,16 +62,15 @@
 
 use crate::batched::BatchSimulation;
 use crate::configuration::Configuration;
-use crate::convergence::{StabilizationDetector, StabilizationResult};
+use crate::convergence::StabilizationResult;
 use crate::count_config::{validate_engine_inputs, validate_population, CountConfiguration};
 use crate::enumerable::EnumerableProtocol;
 use crate::error::SimError;
-use crate::metrics::InteractionMetrics;
 use crate::multibatch::MultiBatchSimulation;
 use crate::protocol::CleanInit;
 use crate::rng::derive_seed;
-use crate::simulation::{RunOutcome, Simulation, StabilizationOptions};
-use crate::telemetry::{BalanceSummary, Counter, SpanGuard, SpanKind, Telemetry};
+use crate::simulation::{self, RunOutcome, Simulation, StabilizationOptions, Stepper};
+use crate::telemetry::{BalanceSummary, Counter, SpanKind, Telemetry};
 use serde::Serialize;
 
 /// The simulation engine a run executes under.
@@ -130,9 +123,6 @@ pub enum PredicateGranularity {
     /// Observed after every interaction that can change the configuration:
     /// hitting times are exact at interaction resolution.
     Interaction,
-    /// Observed every `stride` interactions: hitting times overshoot the
-    /// true hitting time by less than `stride`.
-    Every(u64),
     /// Observed at epoch commits with the given expected epoch length
     /// (`≈ 0.63·√n` interactions): hitting times overshoot by one epoch.
     EpochCommit {
@@ -208,138 +198,12 @@ pub trait SimulationEngine<P: EnumerableProtocol> {
     /// [`StabilizationResult::stabilized_at`] is the absolute interaction
     /// index from which the predicate held until the end of the run, with
     /// the run stopping early once it has held for `opts.confirm_window`
-    /// consecutive interactions. `opts.check_every` applies to the per-step
-    /// engine only (see the [module docs](self)).
+    /// consecutive interactions.
     fn measure_stabilization(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult;
-}
-
-/// One step of a count tier — the only part of the run surface the batched,
-/// multi-batch and auto tiers implement separately. [`run_counts`],
-/// [`run_until_counts`] and [`measure_counts`] are written once over it.
-pub(crate) trait CountTier<P: EnumerableProtocol>: SimulationEngine<P> {
-    /// Advances by at most `cap > 0` interactions and returns `(executed,
-    /// stalled)`: `executed ≥ 1`, and `stalled` means no transition can ever
-    /// fire again (the whole `cap` was consumed as silence).
-    fn advance(&mut self, cap: u64) -> (u64, bool);
-
-    /// The telemetry handle, and the span kind the current mode's wall time
-    /// is recorded under.
-    fn span(&self) -> (&Telemetry, SpanKind);
-}
-
-/// A wall-clock span over one run call that follows the tier's mode: an
-/// Auto handoff closes it and opens one under the new mode's kind.
-struct ModeSpan {
-    kind: SpanKind,
-    _guard: SpanGuard,
-}
-
-impl ModeSpan {
-    fn open<P: EnumerableProtocol>(engine: &impl CountTier<P>) -> Self {
-        let (telemetry, kind) = engine.span();
-        ModeSpan {
-            kind,
-            _guard: telemetry.span(kind),
-        }
-    }
-
-    fn follow<P: EnumerableProtocol>(&mut self, engine: &impl CountTier<P>) {
-        if engine.span().1 != self.kind {
-            *self = ModeSpan::open(engine);
-        }
-    }
-}
-
-/// [`SimulationEngine::run`] for the count tiers: exactly `budget`
-/// interactions.
-pub(crate) fn run_counts<P: EnumerableProtocol>(
-    engine: &mut impl CountTier<P>,
-    budget: u64,
-) -> u64 {
-    let mut span = ModeSpan::open(engine);
-    let mut done = 0;
-    while done < budget {
-        done += engine.advance(budget - done).0;
-        span.follow(engine);
-    }
-    budget
-}
-
-/// [`SimulationEngine::run_until`] for the count tiers: `pred` is observed
-/// after every step, which is exact for the batched tier (silence cannot
-/// change the configuration) and epoch-granular for the multi-batch tier. A
-/// stalled tier returns at once with the budget consumed as silence.
-pub(crate) fn run_until_counts<P: EnumerableProtocol>(
-    engine: &mut impl CountTier<P>,
-    pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-    budget: u64,
-) -> RunOutcome {
-    let mut span = ModeSpan::open(engine);
-    let mut done = 0;
-    let satisfied = loop {
-        if pred(engine.counts()) {
-            break true;
-        }
-        if done >= budget {
-            break false;
-        }
-        let (executed, stalled) = engine.advance(budget - done);
-        done += executed;
-        span.follow(engine);
-        if stalled {
-            // The predicate is false and no transition can ever fire again.
-            break false;
-        }
-    };
-    RunOutcome {
-        interactions: done,
-        satisfied,
-    }
-}
-
-/// [`SimulationEngine::measure_stabilization`] for the count tiers.
-///
-/// `pred` is observed after every step (`opts.check_every` is ignored). Once
-/// it holds, steps are capped at the rest of the confirmation window, so a
-/// long silent confirmation costs one truncated step — truncation is exact
-/// in every tier. A stall ends the run: the current value holds forever.
-pub(crate) fn measure_counts<P: EnumerableProtocol>(
-    engine: &mut impl CountTier<P>,
-    pred: &mut dyn FnMut(&CountConfiguration) -> bool,
-    opts: StabilizationOptions,
-) -> StabilizationResult {
-    let mut span = ModeSpan::open(engine);
-    let n = engine.counts().population() as usize;
-    let start = engine.interactions();
-    let mut detector = StabilizationDetector::new();
-    detector.observe(start, pred(engine.counts()));
-    let mut executed = 0u64;
-    while executed < opts.budget {
-        let mut cap = opts.budget - executed;
-        if detector.satisfied_now() {
-            let held = detector.consecutive(start + executed);
-            if held >= opts.confirm_window {
-                break;
-            }
-            cap = cap.min(opts.confirm_window - held);
-        }
-        let (stepped, stalled) = engine.advance(cap);
-        executed += stepped;
-        span.follow(engine);
-        detector.observe(start + executed, pred(engine.counts()));
-        if stalled {
-            break;
-        }
-    }
-    StabilizationResult {
-        interactions: executed,
-        stabilized_at: detector.stabilized_at(),
-        n,
-    }
 }
 
 /// The expected multi-batch epoch length at population size `n`
@@ -387,12 +251,8 @@ fn measured_active_fraction<P: EnumerableProtocol>(
 /// updated, so count predicates cost O(occupied states) per evaluation
 /// instead of an O(n) rebuild. The underlying simulation consumes randomness
 /// exactly as a bare [`Simulation`] with the same seed — trajectories are
-/// identical, the mirror is pure bookkeeping.
-///
-/// Predicates are evaluated every [`SimBuilder::check_every`] interactions
-/// (default: every interaction). A stride above 1 trades hitting-time
-/// resolution for fewer predicate evaluations — the coarse contract
-/// documented on [`PredicateGranularity::Every`].
+/// identical, the mirror is pure bookkeeping. Predicates are evaluated after
+/// every interaction.
 #[derive(Debug)]
 pub(crate) struct PerStepEngine<P: EnumerableProtocol> {
     sim: Simulation<P>,
@@ -401,51 +261,67 @@ pub(crate) struct PerStepEngine<P: EnumerableProtocol> {
     /// per-agent half of the mirror, needed to know which counter an agent
     /// leaves when its state changes.
     encoded: Vec<usize>,
-    check_every: u64,
     /// Observability handle; disabled by default, in which case every probe
     /// is an early-out on a `None` and trajectories are untouched.
     telemetry: Telemetry,
-    /// Per-agent interaction load, maintained only while telemetry is
-    /// enabled (the `O(n)` vector and two increments per interaction are
-    /// pure observability — nothing in the engine reads them back).
-    metrics: Option<InteractionMetrics>,
 }
 
 impl<P: EnumerableProtocol> PerStepEngine<P> {
     /// Builds the engine from inputs [`SimBuilder::try_build`] validated:
-    /// `counts` is the count view of `config`. An enabled telemetry handle
-    /// also switches on the per-agent [`InteractionMetrics`].
+    /// `counts` is the count view of `config`.
     fn from_parts(
         protocol: P,
         config: Configuration<P::State>,
         counts: CountConfiguration,
         seed: u64,
-        check_every: u64,
         telemetry: Telemetry,
     ) -> Self {
         let encoded = config.iter().map(|s| protocol.encode(s)).collect();
         PerStepEngine {
-            metrics: telemetry
-                .is_enabled()
-                .then(|| InteractionMetrics::new(config.len())),
             sim: Simulation::new(protocol, config, seed),
             counts,
             encoded,
-            check_every,
             telemetry,
         }
     }
 
-    /// Executes one interaction and updates the count mirror. Returns
-    /// `false` when the scheduler is exhausted.
-    fn step_once(&mut self) -> bool {
+    /// Pushes the simulation's per-agent load summary into the telemetry
+    /// report (a no-op unless telemetry is enabled).
+    fn flush_balance(&self) {
+        if self.telemetry.is_enabled() {
+            let metrics = self.sim.metrics();
+            self.telemetry.record_balance(BalanceSummary {
+                n: self.encoded.len() as u64,
+                total: metrics.total(),
+                min: metrics.min(),
+                max: metrics.max(),
+                max_imbalance: metrics.max_imbalance(),
+            });
+        }
+    }
+}
+
+/// One interaction per step, then the count-mirror update.
+impl<P: EnumerableProtocol> Stepper for PerStepEngine<P> {
+    type View = CountConfiguration;
+
+    fn view(&self) -> &CountConfiguration {
+        &self.counts
+    }
+
+    fn total_interactions(&self) -> u64 {
+        self.sim.interactions()
+    }
+
+    fn population(&self) -> usize {
+        self.encoded.len()
+    }
+
+    fn advance(&mut self, _cap: u64) -> (u64, bool) {
         let Some(pair) = self.sim.step() else {
-            return false;
+            return (0, true);
         };
         self.telemetry.count(Counter::PerStepInteractions, 1);
-        if let Some(metrics) = &mut self.metrics {
-            metrics.record(pair.initiator, pair.responder);
-        }
         let (i, j) = (pair.initiator.index(), pair.responder.index());
         let (new_u, new_v) = {
             let protocol = self.sim.protocol();
@@ -463,21 +339,11 @@ impl<P: EnumerableProtocol> PerStepEngine<P> {
             self.encoded[i] = new_u;
             self.encoded[j] = new_v;
         }
-        true
+        (1, false)
     }
 
-    /// Pushes the current per-agent load summary into the telemetry report
-    /// (a no-op unless metrics are being maintained).
-    fn flush_balance(&self) {
-        if let Some(metrics) = &self.metrics {
-            self.telemetry.record_balance(BalanceSummary {
-                n: self.encoded.len() as u64,
-                total: metrics.total(),
-                min: metrics.min(),
-                max: metrics.max(),
-                max_imbalance: metrics.max_imbalance(),
-            });
-        }
+    fn span(&self) -> Option<(&Telemetry, SpanKind)> {
+        Some((&self.telemetry, SpanKind::PerStepRun))
     }
 }
 
@@ -499,92 +365,33 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for PerStepEngine<P> {
     }
 
     fn predicate_granularity(&self) -> PredicateGranularity {
-        if self.check_every <= 1 {
-            PredicateGranularity::Interaction
-        } else {
-            PredicateGranularity::Every(self.check_every)
-        }
+        PredicateGranularity::Interaction
     }
 
     fn run(&mut self, budget: u64) -> u64 {
-        let _span = self.telemetry.span(SpanKind::PerStepRun);
-        let mut done = 0;
-        while done < budget && self.step_once() {
-            done += 1;
-        }
+        let done = simulation::run(self, budget);
         self.flush_balance();
         done
     }
 
-    /// Checks `pred` every `check_every` interactions, so hitting times
-    /// overshoot by less than the stride.
     fn run_until(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        let _span = self.telemetry.span(SpanKind::PerStepRun);
-        let mut done = 0u64;
-        let satisfied = loop {
-            self.telemetry.count(Counter::PerStepStrideChecks, 1);
-            if pred(&self.counts) {
-                break true;
-            }
-            if done >= budget {
-                break false;
-            }
-            let chunk = self.check_every.min(budget - done);
-            let mut ran = 0u64;
-            while ran < chunk && self.step_once() {
-                ran += 1;
-            }
-            done += ran;
-            if ran < chunk {
-                // Scheduler exhausted mid-chunk: one final observation.
-                self.telemetry.count(Counter::PerStepStrideChecks, 1);
-                break pred(&self.counts);
-            }
-        };
+        let out = simulation::run_until(self, pred, budget);
         self.flush_balance();
-        RunOutcome {
-            interactions: done,
-            satisfied,
-        }
+        out
     }
 
-    /// The exact semantics of [`Simulation::measure_stabilization`]
-    /// (`opts.check_every` honored), evaluated on the count mirror.
     fn measure_stabilization(
         &mut self,
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult {
-        let _span = self.telemetry.span(SpanKind::PerStepRun);
-        let n = self.counts.population() as usize;
-        let start = self.sim.interactions();
-        let mut detector = StabilizationDetector::new();
-        detector.observe(start, pred(&self.counts));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            if !self.step_once() {
-                break;
-            }
-            executed += 1;
-            if executed % opts.check_every == 0 {
-                self.telemetry.count(Counter::PerStepStrideChecks, 1);
-                detector.observe(start + executed, pred(&self.counts));
-                if detector.consecutive(start + executed) >= opts.confirm_window {
-                    break;
-                }
-            }
-        }
-        detector.observe(start + executed, pred(&self.counts));
+        let result = simulation::measure_stabilization(self, pred, opts);
         self.flush_balance();
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
-        }
+        result
     }
 }
 
@@ -743,8 +550,8 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
         sim
     }
 
-    /// The active engine, behind the count-tier surface.
-    fn active(&self) -> &dyn CountTier<P> {
+    /// The active engine, behind the engine surface.
+    fn active(&self) -> &dyn SimulationEngine<P> {
         match &self.inner {
             ActiveEngine::Batched(sim) => sim.as_ref(),
             ActiveEngine::MultiBatch(sim) => sim.as_ref(),
@@ -790,11 +597,11 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
     /// [`SimulationEngine::run_until`] taking the predicate by value. The
     /// predicate is observed at the *active* engine's granularity (exact per
     /// state change in batched mode, per epoch commit in multi-batch mode).
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, budget: u64) -> RunOutcome
     where
         F: FnMut(&CountConfiguration) -> bool,
     {
-        run_until_counts(self, &mut pred, budget)
+        simulation::run_until(self, pred, budget)
     }
 
     /// [`SimulationEngine::measure_stabilization`] taking the predicate by
@@ -805,13 +612,13 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
     /// pre-stabilization phase ran multi-batch.
     pub fn measure_stabilization<F>(
         &mut self,
-        mut pred: F,
+        pred: F,
         opts: StabilizationOptions,
     ) -> StabilizationResult
     where
         F: FnMut(&CountConfiguration) -> bool,
     {
-        measure_counts(self, &mut pred, opts)
+        simulation::measure_stabilization(self, pred, opts)
     }
 
     /// Hands the protocol and count vector to the other engine.
@@ -882,7 +689,21 @@ impl<P: EnumerableProtocol> AdaptiveSimulation<P> {
     }
 }
 
-impl<P: EnumerableProtocol> CountTier<P> for AdaptiveSimulation<P> {
+impl<P: EnumerableProtocol> Stepper for AdaptiveSimulation<P> {
+    type View = CountConfiguration;
+
+    fn view(&self) -> &CountConfiguration {
+        self.active().counts()
+    }
+
+    fn total_interactions(&self) -> u64 {
+        SimulationEngine::interactions(self)
+    }
+
+    fn population(&self) -> usize {
+        self.active().counts().population() as usize
+    }
+
     /// The activity check, when its interval elapsed, then one step of the
     /// active engine. Never reports a stall: the next check may hand off, so
     /// a stalled inner engine only consumes its chunk as silence.
@@ -897,8 +718,12 @@ impl<P: EnumerableProtocol> CountTier<P> for AdaptiveSimulation<P> {
         (executed, false)
     }
 
-    fn span(&self) -> (&Telemetry, SpanKind) {
-        self.active().span()
+    fn span(&self) -> Option<(&Telemetry, SpanKind)> {
+        match &self.inner {
+            ActiveEngine::Batched(sim) => sim.span(),
+            ActiveEngine::MultiBatch(sim) => sim.span(),
+            ActiveEngine::Swapping => unreachable!("engine mid-handoff"),
+        }
     }
 }
 
@@ -925,7 +750,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for AdaptiveSimulation<P> {
     }
 
     fn run(&mut self, budget: u64) -> u64 {
-        run_counts(self, budget)
+        simulation::run(self, budget)
     }
 
     fn run_until(
@@ -933,7 +758,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for AdaptiveSimulation<P> {
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        run_until_counts(self, pred, budget)
+        simulation::run_until(self, pred, budget)
     }
 
     fn measure_stabilization(
@@ -941,7 +766,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for AdaptiveSimulation<P> {
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult {
-        measure_counts(self, pred, opts)
+        simulation::measure_stabilization(self, pred, opts)
     }
 }
 
@@ -961,7 +786,6 @@ struct Validated<P: EnumerableProtocol> {
     counts: CountConfiguration,
     /// The per-agent start, kept for [`EngineKind::PerStep`] only.
     agents: Option<Configuration<P::State>>,
-    check_every: u64,
     /// Resolved against `n` under [`EngineKind::Auto`], unused otherwise.
     adaptive: AdaptiveConfig,
     telemetry: Telemetry,
@@ -1001,7 +825,6 @@ pub struct SimBuilder<P: EnumerableProtocol> {
     seed: u64,
     kind: EngineKind,
     init: BuilderInit<P::State>,
-    check_every: u64,
     adaptive: AdaptiveConfig,
     telemetry: Telemetry,
 }
@@ -1015,7 +838,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
             seed: 0,
             kind: EngineKind::Auto,
             init: BuilderInit::Clean,
-            check_every: 1,
             adaptive: AdaptiveConfig::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -1045,13 +867,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
     /// selected).
     pub fn counts(mut self, counts: CountConfiguration) -> Self {
         self.init = BuilderInit::Counts(counts);
-        self
-    }
-
-    /// Sets the per-step engine's predicate check stride (clamped to ≥ 1;
-    /// ignored by the other tiers; see [`PredicateGranularity::Every`]).
-    pub fn check_every(mut self, every: u64) -> Self {
-        self.check_every = every.max(1);
         self
     }
 
@@ -1110,7 +925,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
                     agents,
                     v.counts,
                     v.seed,
-                    v.check_every,
                     v.telemetry,
                 ))
             }
@@ -1182,7 +996,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
             seed,
             kind,
             init,
-            check_every,
             adaptive,
             telemetry,
         } = self;
@@ -1214,7 +1027,6 @@ impl<P: EnumerableProtocol + 'static> SimBuilder<P> {
             kind,
             counts,
             agents,
-            check_every,
             adaptive,
             telemetry,
         })
@@ -1309,21 +1121,6 @@ mod tests {
     }
 
     #[test]
-    fn per_step_check_every_rounds_hitting_times_up() {
-        let exact = per_step(OneWayEpidemic::new(64, 1), 3)
-            .build()
-            .run_until(&mut informed_everywhere, u64::MAX);
-        let coarse = per_step(OneWayEpidemic::new(64, 1), 3)
-            .check_every(100)
-            .build()
-            .run_until(&mut informed_everywhere, u64::MAX);
-        assert!(coarse.satisfied);
-        assert!(coarse.interactions >= exact.interactions);
-        assert!(coarse.interactions < exact.interactions + 100);
-        assert_eq!(coarse.interactions % 100, 0);
-    }
-
-    #[test]
     fn granularities_match_the_documented_table() {
         let batched = SimBuilder::new(OneWayEpidemic::new(64, 1))
             .kind(EngineKind::Batched)
@@ -1334,11 +1131,10 @@ mod tests {
         );
         let per_step = SimBuilder::new(OneWayEpidemic::new(64, 1))
             .kind(EngineKind::PerStep)
-            .check_every(32)
             .build();
         assert_eq!(
             per_step.predicate_granularity(),
-            PredicateGranularity::Every(32)
+            PredicateGranularity::Interaction
         );
         let multibatch = SimBuilder::new(OneWayEpidemic::new(10_000, 1))
             .kind(EngineKind::MultiBatch)

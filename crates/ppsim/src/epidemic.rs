@@ -5,14 +5,12 @@
 //! `c_epi · n · log n` interactions w.h.p. with `c_epi < 7`). This module
 //! implements the one-way and two-way epidemic protocols directly so the
 //! constant can be measured (experiment E8), and exposes
-//! [`measure_epidemic_time`] as a reusable helper.
+//! [`measure_epidemic_time_with`] as a reusable helper.
 
-use crate::configuration::Configuration;
 use crate::engine::{EngineKind, SimBuilder};
 use crate::enumerable::EnumerableProtocol;
 use crate::indexer::SupportEnumerable;
 use crate::protocol::{AgentId, CleanInit, InteractionCtx, Protocol};
-use crate::simulation::Simulation;
 
 /// State index of an uninformed agent under the epidemics'
 /// [`EnumerableProtocol`] enumeration.
@@ -175,22 +173,6 @@ impl SupportEnumerable for TwoWayEpidemic {
     }
 }
 
-/// Runs one epidemic to completion and returns the number of interactions it
-/// took for every agent to become informed.
-///
-/// Returns `None` if the epidemic did not complete within `budget`
-/// interactions (which indicates a far-too-small budget: completion is
-/// guaranteed with probability 1).
-pub fn measure_epidemic_time<P>(protocol: P, seed: u64, budget: u64) -> Option<u64>
-where
-    P: Protocol<State = bool> + CleanInit,
-{
-    let config = Configuration::clean(&protocol);
-    let mut sim = Simulation::new(protocol, config, seed);
-    let out = sim.run_until(|c| c.all(|s| *s), budget);
-    out.satisfied.then_some(out.interactions)
-}
-
 /// Runs one epidemic to completion under the chosen engine tier through the
 /// unified [`crate::engine`] API and returns the completion interaction
 /// count, or `None` if the epidemic did not complete within `budget`.
@@ -199,9 +181,9 @@ where
 /// times are different samples of the same distribution, and each engine
 /// observes completion at its own
 /// [`crate::engine::SimulationEngine::predicate_granularity`] (exact for
-/// per-step and batched, up to one `O(√n)` epoch late for multi-batch). For
-/// a coarse per-step check stride, build the engine with
-/// [`SimBuilder::check_every`].
+/// per-step and batched, up to one `O(√n)` epoch late for multi-batch).
+/// [`EngineKind::PerStep`] follows the same trajectory as a bare
+/// [`crate::Simulation`] with the same seed.
 pub fn measure_epidemic_time_with<P>(
     protocol: P,
     kind: EngineKind,
@@ -255,8 +237,13 @@ mod tests {
     #[test]
     fn one_way_epidemic_completes_in_reasonable_time() {
         let n = 128;
-        let t = measure_epidemic_time(OneWayEpidemic::new(n, 1), 42, 10_000_000)
-            .expect("epidemic should complete");
+        let t = measure_epidemic_time_with(
+            OneWayEpidemic::new(n, 1),
+            EngineKind::PerStep,
+            42,
+            10_000_000,
+        )
+        .expect("epidemic should complete");
         // Lemma A.2: completion within c_epi * n log n with c_epi < 7;
         // allow generous slack for a single trial.
         assert!(
@@ -275,11 +262,21 @@ mod tests {
             (0..trials)
                 .map(|i| {
                     if two_way {
-                        measure_epidemic_time(TwoWayEpidemic::new(n, 1), 100 + i, 10_000_000)
-                            .unwrap() as f64
+                        measure_epidemic_time_with(
+                            TwoWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            100 + i,
+                            10_000_000,
+                        )
+                        .unwrap() as f64
                     } else {
-                        measure_epidemic_time(OneWayEpidemic::new(n, 1), 100 + i, 10_000_000)
-                            .unwrap() as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            100 + i,
+                            10_000_000,
+                        )
+                        .unwrap() as f64
                     }
                 })
                 .sum::<f64>()
@@ -295,31 +292,18 @@ mod tests {
         let avg = |sources: usize| -> f64 {
             (0..trials)
                 .map(|i| {
-                    measure_epidemic_time(OneWayEpidemic::new(n, sources), 7 + i, 10_000_000)
-                        .unwrap() as f64
+                    measure_epidemic_time_with(
+                        OneWayEpidemic::new(n, sources),
+                        EngineKind::PerStep,
+                        7 + i,
+                        10_000_000,
+                    )
+                    .unwrap() as f64
                 })
                 .sum::<f64>()
                 / trials as f64
         };
         assert!(avg(n / 2) < avg(1));
-    }
-
-    #[test]
-    fn coarse_measurement_overshoots_by_less_than_the_check_interval() {
-        let n = 64;
-        for seed in 0..5 {
-            let exact = measure_epidemic_time(OneWayEpidemic::new(n, 1), seed, u64::MAX).unwrap();
-            let coarse = SimBuilder::new(OneWayEpidemic::new(n, 1))
-                .kind(EngineKind::PerStep)
-                .seed(seed)
-                .check_every(100)
-                .build()
-                .run_until(&mut |c| c.count(INFORMED) == c.population(), u64::MAX)
-                .interactions;
-            assert!(coarse >= exact, "coarse {coarse} below exact {exact}");
-            assert!(coarse < exact + 100);
-            assert_eq!(coarse % 100, 0, "completion reported at a check");
-        }
     }
 
     #[test]
@@ -338,8 +322,13 @@ mod tests {
                         )
                         .unwrap() as f64
                     } else {
-                        measure_epidemic_time(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX).unwrap()
-                            as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            30 + i,
+                            u64::MAX,
+                        )
+                        .unwrap() as f64
                     }
                 })
                 .sum::<f64>()
@@ -370,8 +359,13 @@ mod tests {
                         )
                         .unwrap() as f64
                     } else {
-                        measure_epidemic_time(OneWayEpidemic::new(n, 1), 30 + i, u64::MAX).unwrap()
-                            as f64
+                        measure_epidemic_time_with(
+                            OneWayEpidemic::new(n, 1),
+                            EngineKind::PerStep,
+                            30 + i,
+                            u64::MAX,
+                        )
+                        .unwrap() as f64
                     }
                 })
                 .sum::<f64>()
@@ -409,7 +403,7 @@ mod tests {
     #[test]
     fn insufficient_budget_returns_none() {
         assert_eq!(
-            measure_epidemic_time(OneWayEpidemic::new(64, 1), 0, 5),
+            measure_epidemic_time_with(OneWayEpidemic::new(64, 1), EngineKind::PerStep, 0, 5),
             None
         );
     }

@@ -15,8 +15,9 @@
 //! * [`Configuration`] — a population state vector with predicate helpers,
 //! * [`scheduler`] — the uniformly random scheduler and a scripted scheduler
 //!   for reachability-style unit tests,
-//! * [`Simulation`] — the per-agent run loop, with stop conditions and
-//!   stabilization detection ([`convergence`]),
+//! * [`Simulation`] — the per-agent engine, with stop conditions and
+//!   stabilization detection ([`convergence`]); its run loops
+//!   ([`simulation`]) drive every engine tier as well,
 //! * [`engine`] — the unified engine API: the [`SimulationEngine`] trait
 //!   over every tier and [`SimBuilder`], the one way to construct an engine
 //!   ([`SimBuilder::try_build`]). The tiers, by [`EngineKind`]:

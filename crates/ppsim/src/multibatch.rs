@@ -50,14 +50,11 @@ use crate::batched::sample_support;
 use crate::configuration::Configuration;
 use crate::convergence::StabilizationResult;
 use crate::count_config::CountConfiguration;
-use crate::engine::{
-    expected_epoch_length, measure_counts, run_counts, run_until_counts, CountTier,
-    PredicateGranularity, SimulationEngine,
-};
+use crate::engine::{expected_epoch_length, PredicateGranularity, SimulationEngine};
 use crate::enumerable::EnumerableProtocol;
 use crate::protocol::InteractionCtx;
 use crate::rng::{uniform_below, uniform_below_u128, SimRng};
-use crate::simulation::{RunOutcome, StabilizationOptions};
+use crate::simulation::{self, RunOutcome, StabilizationOptions, Stepper};
 use crate::telemetry::{Counter, SpanKind, Telemetry};
 use rand::distributions::{hypergeometric_split, multinomial_split};
 use rand::RngCore;
@@ -283,7 +280,7 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
     /// Advances by one epoch, truncated to `cap` interactions, and returns
     /// the number of interactions executed (at least 1).
     ///
-    /// Kept out of line: it is large, and with [`CountTier::advance`] as its
+    /// Kept out of line: it is large, and with `Stepper::advance` as its
     /// only caller LLVM inlines it into the shared run loops, which made the
     /// `elect-count` benchmark workload ~10% slower (2-vCPU VM).
     #[inline(never)]
@@ -392,13 +389,27 @@ impl<P: EnumerableProtocol> MultiBatchSimulation<P> {
 /// Never stalls: the engine cannot detect a frozen configuration, so it
 /// keeps resolving (silent) epochs until the budget is spent — pair an
 /// unreachable predicate with a finite budget.
-impl<P: EnumerableProtocol> CountTier<P> for MultiBatchSimulation<P> {
+impl<P: EnumerableProtocol> Stepper for MultiBatchSimulation<P> {
+    type View = CountConfiguration;
+
+    fn view(&self) -> &CountConfiguration {
+        &self.counts
+    }
+
+    fn total_interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn population(&self) -> usize {
+        self.counts.population() as usize
+    }
+
     fn advance(&mut self, cap: u64) -> (u64, bool) {
         (self.advance_epoch(cap), false)
     }
 
-    fn span(&self) -> (&Telemetry, SpanKind) {
-        (&self.telemetry, SpanKind::MultiBatchRun)
+    fn span(&self) -> Option<(&Telemetry, SpanKind)> {
+        Some((&self.telemetry, SpanKind::MultiBatchRun))
     }
 }
 
@@ -428,7 +439,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
     }
 
     fn run(&mut self, budget: u64) -> u64 {
-        run_counts(self, budget)
+        simulation::run(self, budget)
     }
 
     fn run_until(
@@ -436,7 +447,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         budget: u64,
     ) -> RunOutcome {
-        run_until_counts(self, pred, budget)
+        simulation::run_until(self, pred, budget)
     }
 
     fn measure_stabilization(
@@ -444,7 +455,7 @@ impl<P: EnumerableProtocol> SimulationEngine<P> for MultiBatchSimulation<P> {
         pred: &mut dyn FnMut(&CountConfiguration) -> bool,
         opts: StabilizationOptions,
     ) -> StabilizationResult {
-        measure_counts(self, pred, opts)
+        simulation::measure_stabilization(self, pred, opts)
     }
 }
 

@@ -11,6 +11,11 @@
 //! * [`Simulation::measure_stabilization`] — measure the *stabilization time*
 //!   of an output predicate: the first interaction after which the predicate
 //!   held continuously until the end of a confirmation window.
+//!
+//! The loops behind the last two (and behind [`Simulation::run`]) are
+//! written once, over a crate-private step trait, and drive every
+//! [`crate::EngineKind`] tier as well: an engine only says how it takes one
+//! step.
 
 use crate::configuration::Configuration;
 use crate::convergence::{StabilizationDetector, StabilizationResult};
@@ -18,6 +23,7 @@ use crate::metrics::InteractionMetrics;
 use crate::protocol::{InteractionCtx, Protocol};
 use crate::rng::SimRng;
 use crate::scheduler::{OrderedPair, Scheduler, UniformScheduler};
+use crate::telemetry::{SpanGuard, SpanKind, Telemetry};
 use serde::Serialize;
 
 /// Outcome of [`Simulation::run_until`] (and of every engine's
@@ -35,15 +41,14 @@ pub struct RunOutcome {
     pub satisfied: bool,
 }
 
-/// Options for [`Simulation::measure_stabilization`].
+/// Options for [`Simulation::measure_stabilization`] (and every engine's
+/// [`crate::SimulationEngine::measure_stabilization`]). The predicate is
+/// observed after every step of the engine — see
+/// [`crate::engine::PredicateGranularity`] for what a step is per tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StabilizationOptions {
     /// Maximum number of interactions to execute.
     pub budget: u64,
-    /// Evaluate the output predicate every this many interactions. Larger
-    /// values are faster but bound the measurement error of the stabilization
-    /// time by the same amount.
-    pub check_every: u64,
     /// Stop early once the predicate has held continuously for this many
     /// interactions.
     pub confirm_window: u64,
@@ -51,27 +56,166 @@ pub struct StabilizationOptions {
 
 impl StabilizationOptions {
     /// Sensible defaults for a population of size `n`: a budget of
-    /// `budget` interactions, predicate checks every interaction, and a
-    /// confirmation window of `20·n·ln n` interactions.
+    /// `budget` interactions and a confirmation window of `20·n·ln n`
+    /// interactions.
     pub fn new(n: usize, budget: u64) -> Self {
         let nf = n as f64;
         StabilizationOptions {
             budget,
-            check_every: 1,
             confirm_window: (20.0 * nf * nf.ln().max(1.0)).ceil() as u64,
         }
-    }
-
-    /// Sets the predicate check interval.
-    pub fn check_every(mut self, every: u64) -> Self {
-        self.check_every = every.max(1);
-        self
     }
 
     /// Sets the confirmation window.
     pub fn confirm_window(mut self, window: u64) -> Self {
         self.confirm_window = window;
         self
+    }
+}
+
+/// One step of an engine — the only part of the run surface an engine
+/// implements itself. [`run`], [`run_until`] and [`measure_stabilization`]
+/// are written once over it, for the per-agent [`Simulation`] (predicates
+/// observe its [`Configuration`]) and for every [`crate::EngineKind`] tier
+/// (predicates observe a [`crate::CountConfiguration`]).
+pub(crate) trait Stepper {
+    /// What predicates observe.
+    type View;
+
+    /// The current configuration, as predicates observe it.
+    fn view(&self) -> &Self::View;
+
+    /// Interactions executed since construction (absolute).
+    fn total_interactions(&self) -> u64;
+
+    /// The population size.
+    fn population(&self) -> usize;
+
+    /// Advances by at most `cap > 0` interactions and returns `(executed,
+    /// stalled)`. `stalled` means the view can never change again: a count
+    /// tier consumed the whole `cap` as silence, or a scripted scheduler ran
+    /// out (`executed` is then 0).
+    fn advance(&mut self, cap: u64) -> (u64, bool);
+
+    /// The telemetry handle, and the span kind the current mode's wall time
+    /// is recorded under; `None` records no span.
+    fn span(&self) -> Option<(&Telemetry, SpanKind)> {
+        None
+    }
+}
+
+/// A wall-clock span over one run call that follows the engine's mode: an
+/// Auto handoff closes it and opens one under the new mode's kind.
+struct ModeSpan(Option<(SpanKind, SpanGuard)>);
+
+impl ModeSpan {
+    fn open(engine: &impl Stepper) -> Self {
+        ModeSpan(
+            engine
+                .span()
+                .map(|(telemetry, kind)| (kind, telemetry.span(kind))),
+        )
+    }
+
+    fn follow(&mut self, engine: &impl Stepper) {
+        let kind = engine.span().map(|(_, kind)| kind);
+        if kind != self.0.as_ref().map(|(kind, _)| *kind) {
+            *self = ModeSpan::open(engine);
+        }
+    }
+}
+
+/// Executes up to `budget` interactions unconditionally and returns the
+/// number executed: `budget` unless a scripted scheduler ran out (a stalled
+/// count tier consumes the rest of the budget as silence).
+pub(crate) fn run(engine: &mut impl Stepper, budget: u64) -> u64 {
+    let mut span = ModeSpan::open(engine);
+    let mut done = 0;
+    while done < budget {
+        let (executed, stalled) = engine.advance(budget - done);
+        done += executed;
+        span.follow(engine);
+        if stalled {
+            break;
+        }
+    }
+    done
+}
+
+/// Runs until `pred` holds or `budget` interactions have been executed by
+/// this call. `pred` is observed after every step, which is exact for the
+/// per-agent engines and the batched tier (silence cannot change the
+/// configuration) and epoch-granular for the multi-batch tier. A stall
+/// ends the run: the predicate is false and stays so.
+pub(crate) fn run_until<E: Stepper>(
+    engine: &mut E,
+    mut pred: impl FnMut(&E::View) -> bool,
+    budget: u64,
+) -> RunOutcome {
+    let mut span = ModeSpan::open(engine);
+    let mut done = 0;
+    let satisfied = loop {
+        if pred(engine.view()) {
+            break true;
+        }
+        if done >= budget {
+            break false;
+        }
+        let (executed, stalled) = engine.advance(budget - done);
+        done += executed;
+        span.follow(engine);
+        if stalled {
+            break false;
+        }
+    };
+    RunOutcome {
+        interactions: done,
+        satisfied,
+    }
+}
+
+/// Measures the stabilization time of `pred`; see
+/// [`Simulation::measure_stabilization`] for the index conventions.
+///
+/// `pred` is observed after every step. Once it holds, steps are capped at
+/// the rest of the confirmation window, so the run stops exactly when the
+/// window is reached and a long silent confirmation costs one truncated
+/// count-tier step — truncation is exact in every tier. A stall ends the
+/// run: the current value holds forever.
+pub(crate) fn measure_stabilization<E: Stepper>(
+    engine: &mut E,
+    mut pred: impl FnMut(&E::View) -> bool,
+    opts: StabilizationOptions,
+) -> StabilizationResult {
+    let mut span = ModeSpan::open(engine);
+    // Observations use absolute interaction indices so a measurement on a
+    // warm-started engine reports stabilization relative to its full
+    // history, not this call.
+    let start = engine.total_interactions();
+    let mut detector = StabilizationDetector::new();
+    detector.observe(start, pred(engine.view()));
+    let mut executed = 0u64;
+    while executed < opts.budget {
+        let mut cap = opts.budget - executed;
+        if detector.satisfied_now() {
+            let held = detector.consecutive(start + executed);
+            if held >= opts.confirm_window {
+                break;
+            }
+            cap = cap.min(opts.confirm_window - held);
+        }
+        let (stepped, stalled) = engine.advance(cap);
+        executed += stepped;
+        span.follow(engine);
+        detector.observe(start + executed, pred(engine.view()));
+        if stalled {
+            break;
+        }
+    }
+    StabilizationResult {
+        interactions: executed,
+        stabilized_at: detector.stabilized_at(),
+        n: engine.population(),
     }
 }
 
@@ -181,85 +325,61 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// number actually executed (less than `budget` only if the scheduler ran
     /// out of scripted interactions).
     pub fn run(&mut self, budget: u64) -> u64 {
-        let mut done = 0;
-        while done < budget {
-            if self.step().is_none() {
-                break;
-            }
-            done += 1;
-        }
-        done
+        run(self, budget)
     }
 
     /// Runs until `pred` holds for the current configuration or `budget`
     /// interactions have been executed by this call.
-    pub fn run_until<F>(&mut self, mut pred: F, budget: u64) -> RunOutcome
+    pub fn run_until<F>(&mut self, pred: F, budget: u64) -> RunOutcome
     where
         F: FnMut(&Configuration<P::State>) -> bool,
     {
-        let mut done = 0;
-        loop {
-            if pred(&self.config) {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: true,
-                };
-            }
-            if done >= budget || self.step().is_none() {
-                return RunOutcome {
-                    interactions: done,
-                    satisfied: false,
-                };
-            }
-            done += 1;
-        }
+        run_until(self, pred, budget)
     }
 
     /// Measures the stabilization time of the output predicate `pred`.
     ///
-    /// Runs for at most `opts.budget` interactions, evaluating `pred` every
-    /// `opts.check_every` interactions, and stops early once the predicate
-    /// has held continuously for `opts.confirm_window` interactions. The
-    /// returned [`StabilizationResult::stabilized_at`] is the *absolute*
-    /// interaction index (counted from the construction of the simulation,
-    /// so including any interactions executed before this call) of the first
-    /// check from which the predicate held until the end of the run;
+    /// Runs for at most `opts.budget` interactions, evaluating `pred` after
+    /// every interaction, and stops once the predicate has held continuously
+    /// for `opts.confirm_window` interactions. The returned
+    /// [`StabilizationResult::stabilized_at`] is the *absolute* interaction
+    /// index (counted from the construction of the simulation, so including
+    /// any interactions executed before this call) from which the predicate
+    /// held until the end of the run;
     /// [`StabilizationResult::interactions`] is the number executed by this
     /// call alone.
     pub fn measure_stabilization<F>(
         &mut self,
-        mut pred: F,
+        pred: F,
         opts: StabilizationOptions,
     ) -> StabilizationResult
     where
         F: FnMut(&Configuration<P::State>) -> bool,
     {
-        let n = self.config.len();
-        let mut detector = StabilizationDetector::new();
-        // Observations use absolute interaction indices so a measurement on
-        // a warm-started simulation reports stabilization relative to the
-        // simulation's full history, not this call.
-        let start = self.interactions;
-        detector.observe(start, pred(&self.config));
-        let mut executed = 0u64;
-        while executed < opts.budget {
-            if self.step().is_none() {
-                break;
-            }
-            executed += 1;
-            if executed % opts.check_every == 0 {
-                detector.observe(start + executed, pred(&self.config));
-                if detector.consecutive(start + executed) >= opts.confirm_window {
-                    break;
-                }
-            }
-        }
-        // Final check so the detector reflects the end-of-run configuration.
-        detector.observe(start + executed, pred(&self.config));
-        StabilizationResult {
-            interactions: executed,
-            stabilized_at: detector.stabilized_at(),
-            n,
+        measure_stabilization(self, pred, opts)
+    }
+}
+
+/// One interaction per step; stalls only when a scripted scheduler runs out.
+impl<P: Protocol, S: Scheduler> Stepper for Simulation<P, S> {
+    type View = Configuration<P::State>;
+
+    fn view(&self) -> &Configuration<P::State> {
+        &self.config
+    }
+
+    fn total_interactions(&self) -> u64 {
+        self.interactions
+    }
+
+    fn population(&self) -> usize {
+        self.config.len()
+    }
+
+    fn advance(&mut self, _cap: u64) -> (u64, bool) {
+        match self.step() {
+            Some(_) => (1, false),
+            None => (0, true),
         }
     }
 }

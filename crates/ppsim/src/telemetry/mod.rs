@@ -55,11 +55,9 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Interactions executed by the per-step engine.
+    /// Interactions executed by the per-step engine (its predicate is
+    /// checked after each one).
     PerStepInteractions,
-    /// Predicate stride checks performed by the per-step engine
-    /// (`check_every`-grained, see `PredicateGranularity::Every`).
-    PerStepStrideChecks,
     /// Interactions accounted by the batched engine (silent runs included).
     BatchedInteractions,
     /// Geometric silent-run-length draws taken by the batched engine.
@@ -113,9 +111,8 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 23] = [
         Counter::PerStepInteractions,
-        Counter::PerStepStrideChecks,
         Counter::BatchedInteractions,
         Counter::BatchedGeometricDraws,
         Counter::BatchedSilentSkipped,
@@ -144,7 +141,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::PerStepInteractions => "per_step.interactions",
-            Counter::PerStepStrideChecks => "per_step.stride_checks",
             Counter::BatchedInteractions => "batched.interactions",
             Counter::BatchedGeometricDraws => "batched.geometric_draws",
             Counter::BatchedSilentSkipped => "batched.silent_skipped",
@@ -399,7 +395,7 @@ struct Recorder {
 ///
 /// Disabled (the default) it is a `None` and every probe is a no-op —
 /// engines pay one branch per probe site and nothing else. Enabled, probes
-/// record into a shared [`Recorder`] snapshot-able as a
+/// record into a shared `Recorder` snapshot-able as a
 /// [`TelemetryReport`]. Clones share the recorder (`Rc`): the adaptive
 /// engine hands clones to its inner engines so one report covers the whole
 /// run, handoffs included.

@@ -25,10 +25,11 @@ use ppsim::simulation::StabilizationOptions;
 use ppsim::stats::ks_distance;
 use ppsim::telemetry::Counter;
 use ppsim::{
-    AdaptiveConfig, CountConfiguration, DiscoveredProtocol, EngineKind, Fnv64, SimBuilder,
-    SimulationEngine, Summary, Telemetry, TrialFleet,
+    AdaptiveConfig, Configuration, CountConfiguration, DiscoveredProtocol, EngineKind, Fnv64,
+    RunOutcome, ScriptedScheduler, SimBuilder, SimRng, Simulation, SimulationEngine, Summary,
+    Telemetry, TrialFleet,
 };
-use ssle_core::{output, ElectLeader};
+use ssle_core::{output, ElectLeader, Scenario};
 
 const N: usize = 512;
 const TRIALS: usize = 48;
@@ -575,5 +576,87 @@ fn stabilization_digest_is_pinned_across_engine_kinds() {
         hex16(digest.finish()),
         "7e03f041f51e1a3f",
         "stabilization digest moved"
+    );
+}
+
+/// Folds one `run_until` outcome into `digest`.
+fn fold_outcome(digest: &mut Fnv64, out: RunOutcome) {
+    digest.write_u64(out.interactions);
+    digest.write_u64(u64::from(out.satisfied));
+}
+
+/// The per-agent run-loop pin: one digest over the bare [`Simulation`]'s
+/// `run`, `run_until` and `measure_stabilization` — `ElectLeader_r` from
+/// every catalog start at three `(n, r)` cells, a warm-started epidemic, a
+/// short confirmation window, a scripted scheduler that runs out inside
+/// each loop — plus the per-step tier's `run` and `run_until`. Any change to
+/// when the per-agent loops step, observe or stop moves it.
+#[test]
+fn per_agent_run_loop_digest_is_pinned() {
+    let mut digest = Fnv64::new();
+    for (n, r) in [(8usize, 2usize), (12, 3), (16, 4)] {
+        for (i, scenario) in Scenario::catalog(n).into_iter().enumerate() {
+            let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
+            let opts = StabilizationOptions::new(n, protocol.params().suggested_budget());
+            let seed = (n * 100 + i) as u64;
+            let start = scenario.generate(&protocol, &mut SimRng::seed_from_u64(seed));
+            let mut sim = Simulation::new(protocol, start, seed);
+            let result = sim.measure_stabilization(output::is_correct_output, opts);
+            assert!(result.stabilized(), "{} at ({n}, {r})", scenario.name());
+            fold_stabilization(&mut digest, &result);
+            digest.write_u64(sim.interactions());
+        }
+    }
+
+    let all_informed = |c: &Configuration<bool>| c.all(|s| *s);
+    // Warm start, then `run_until` once to completion and once out of budget.
+    let p = OneWayEpidemic::new(64, 1);
+    let mut warm = Simulation::new(p, Configuration::clean(&p), 3);
+    digest.write_u64(warm.run(17));
+    fold_outcome(&mut digest, warm.run_until(all_informed, u64::MAX));
+    fold_outcome(&mut digest, warm.run_until(|c| !c.all(|s| *s), 500));
+    digest.write_u64(warm.interactions());
+
+    let p = TwoWayEpidemic::new(64, 1);
+    let mut spreading = Simulation::new(p, Configuration::clean(&p), 6);
+    let opts = StabilizationOptions::new(64, 1_000_000).confirm_window(40);
+    fold_stabilization(
+        &mut digest,
+        &spreading.measure_stabilization(all_informed, opts),
+    );
+
+    // A script of 5 interactions, the last of which completes the epidemic,
+    // runs out inside each loop.
+    let scripted = || {
+        let p = TwoWayEpidemic::new(4, 1);
+        let script = ScriptedScheduler::from_indices([(1, 2), (0, 1), (2, 3), (1, 2), (2, 3)]);
+        Simulation::with_scheduler(p, Configuration::clean(&p), script, 0)
+    };
+    digest.write_u64(scripted().run(100));
+    fold_outcome(&mut digest, scripted().run_until(|_| false, 100));
+    let opts = StabilizationOptions::new(4, 100).confirm_window(50);
+    fold_stabilization(
+        &mut digest,
+        &scripted().measure_stabilization(all_informed, opts),
+    );
+
+    let mut per_step = SimBuilder::new(OneWayEpidemic::new(64, 1))
+        .kind(EngineKind::PerStep)
+        .seed(8)
+        .build();
+    digest.write_u64(per_step.run(29));
+    fold_outcome(
+        &mut digest,
+        per_step.run_until(&mut |c| c.count(INFORMED) == c.population(), u64::MAX),
+    );
+    fold_outcome(
+        &mut digest,
+        per_step.run_until(&mut |c| c.count(INFORMED) < c.population(), 300),
+    );
+    digest.write_u64(per_step.interactions());
+    assert_eq!(
+        hex16(digest.finish()),
+        "76562e9b4269f13c",
+        "per-agent run-loop digest moved"
     );
 }
