@@ -72,7 +72,7 @@ pub fn e4_recovery(scale: Scale) -> Table {
 
 /// One E5 trial: interactions until the first hard reset is triggered from a
 /// duplicated-rank configuration.
-pub fn detection_trial(n: usize, r: usize, duplicates: usize, seed: u64) -> TrialOutcome {
+fn detection_trial(n: usize, r: usize, duplicates: usize, seed: u64) -> TrialOutcome {
     let protocol = ElectLeader::with_n_r(n, r).expect("valid parameters");
     let budget = protocol.params().suggested_budget();
     let mut scenario_rng = SimRng::seed_from_u64(derive_seed(seed, 0xE5));

@@ -20,6 +20,17 @@
 //!   to track (or beat) the faster fixed engine without being told which one
 //!   that is.
 //!
+//! Beside those sparse-start rows (one informed source), every `n` gets two
+//! more workloads:
+//!
+//! * the **dense start** (half the population informed) under the three
+//!   count tiers — a constant fraction of interactions changes state from
+//!   the first one, so the batched engine's silent-run skipping saves little
+//!   while the multi-batch engine still pays per epoch;
+//! * the sparse epidemic behind [`DiscoveredProtocol`] under the batched
+//!   engine — its wall clock over the enumerated batched row is the dynamic
+//!   state indexer's interning and peeking cost.
+//!
 //! All cells go through the unified `ppsim::engine` API — engine dispatch
 //! lives in [`ppsim::SimBuilder`], not here.
 
@@ -27,7 +38,9 @@ use crate::scale::{EngineKind, Scale};
 use crate::table::{fmt_f64, Table};
 use ppsim::epidemic::{measure_epidemic_time_with, OneWayEpidemic};
 use ppsim::rng::derive_seed;
-use ppsim::{peak_rss_bytes, reset_peak_rss, TrialFleet};
+use ppsim::{
+    peak_rss_bytes, reset_peak_rss, CountConfiguration, DiscoveredProtocol, SimBuilder, TrialFleet,
+};
 use std::time::Instant;
 
 /// Measurements of one engine at one population size.
@@ -54,8 +67,58 @@ impl EngineThroughput {
     }
 }
 
-/// Runs `trials` one-way-epidemic completions at population size `n` under
-/// one engine and averages interactions and wall time.
+/// The epidemic an E10 row runs to completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EpidemicWorkload {
+    /// One informed source, statically enumerated: a silent head and tail
+    /// around `n − 1` state changes.
+    Sparse,
+    /// Half the population informed at start: dense from the first
+    /// interaction.
+    Dense,
+    /// The sparse epidemic behind [`DiscoveredProtocol`].
+    SparseDiscovered,
+}
+
+impl EpidemicWorkload {
+    /// The E10 engine-column label of `engine` running this workload (the
+    /// bare engine label for the sparse rows).
+    fn label(self, engine: EngineKind) -> String {
+        match self {
+            EpidemicWorkload::Sparse => engine.label().to_string(),
+            EpidemicWorkload::Dense => format!("{} (dense start)", engine.label()),
+            EpidemicWorkload::SparseDiscovered => format!("{} (discovered)", engine.label()),
+        }
+    }
+
+    /// Interactions until every agent is informed, `None` past `budget`.
+    fn complete(self, n: usize, engine: EngineKind, seed: u64, budget: u64) -> Option<u64> {
+        match self {
+            EpidemicWorkload::Sparse => {
+                measure_epidemic_time_with(OneWayEpidemic::new(n, 1), engine, seed, budget)
+            }
+            EpidemicWorkload::Dense => {
+                measure_epidemic_time_with(OneWayEpidemic::new(n, n / 2), engine, seed, budget)
+            }
+            EpidemicWorkload::SparseDiscovered => {
+                let discovered = DiscoveredProtocol::new(OneWayEpidemic::new(n, 1));
+                let handle = discovered.clone();
+                let mut sim = SimBuilder::new(discovered).kind(engine).seed(seed).build();
+                let out = sim.run_until(
+                    &mut |c: &CountConfiguration| {
+                        (0..c.num_states())
+                            .all(|i| c.count(i) == 0 || handle.peek(i, |informed| *informed))
+                    },
+                    budget,
+                );
+                out.satisfied.then_some(out.interactions)
+            }
+        }
+    }
+}
+
+/// Runs `trials` completions of `workload` at population size `n` under one
+/// engine and averages interactions and wall time.
 ///
 /// Trials fan out over worker threads through [`TrialFleet`] with the same
 /// per-trial seeds (`derive_seed(base_seed, trial)`) as the old sequential
@@ -63,6 +126,7 @@ impl EngineThroughput {
 /// fleet wall-clock divided by trials, i.e. a *throughput* measure that
 /// improves with cores rather than a per-run latency.
 pub fn epidemic_throughput(
+    workload: EpidemicWorkload,
     n: usize,
     trials: usize,
     base_seed: u64,
@@ -74,7 +138,8 @@ pub fn epidemic_throughput(
     let started = Instant::now();
     let total_interactions: u64 = TrialFleet::new(trials, base_seed)
         .run(|seed| {
-            measure_epidemic_time_with(OneWayEpidemic::new(n, 1), engine, seed, budget)
+            workload
+                .complete(n, engine, seed, budget)
                 .expect("epidemic completes within 50 n ln n")
         })
         .into_iter()
@@ -104,15 +169,26 @@ pub fn e10_engine_scale(scale: Scale) -> Table {
         ],
     );
     let mut speedup_notes: Vec<String> = Vec::new();
+    let count_tiers = [
+        EngineKind::Batched,
+        EngineKind::MultiBatch,
+        EngineKind::Auto,
+    ];
     for &n in &scale.batched_n_values() {
         let trials = scale.e10_trials(n);
         let base_seed = derive_seed(scale.base_seed() ^ 0xE10, n as u64);
-        let mut wall_by_engine: Vec<(EngineKind, f64)> = Vec::new();
-        for engine in scale.e10_engines(n) {
-            let m = epidemic_throughput(n, trials, base_seed, engine);
+        let cells = scale
+            .e10_engines(n)
+            .into_iter()
+            .map(|engine| (EpidemicWorkload::Sparse, engine))
+            .chain(count_tiers.map(|engine| (EpidemicWorkload::Dense, engine)))
+            .chain([(EpidemicWorkload::SparseDiscovered, EngineKind::Batched)]);
+        let mut walls: Vec<(EpidemicWorkload, EngineKind, f64)> = Vec::new();
+        for (workload, engine) in cells {
+            let m = epidemic_throughput(workload, n, trials, base_seed, engine);
             table.push_row([
                 n.to_string(),
-                engine.label().to_string(),
+                workload.label(engine),
                 trials.to_string(),
                 fmt_f64(m.mean_interactions),
                 fmt_f64(m.mean_interactions / n as f64),
@@ -120,42 +196,53 @@ pub fn e10_engine_scale(scale: Scale) -> Table {
                 fmt_f64(m.interactions_per_us()),
                 m.peak_rss_mib.map_or_else(|| "n/a".to_string(), fmt_f64),
             ]);
-            wall_by_engine.push((engine, m.mean_wall_ms));
+            walls.push((workload, engine, m.mean_wall_ms));
         }
-        let wall = |engine: EngineKind| -> Option<f64> {
-            wall_by_engine
+        let wall = |workload: EpidemicWorkload, engine: EngineKind| -> Option<f64> {
+            walls
                 .iter()
-                .find(|&&(e, _)| e == engine)
-                .map(|&(_, w)| w)
+                .find(|&&(w, e, _)| (w, e) == (workload, engine))
+                .map(|&(_, _, ms)| ms)
         };
-        let (batched, multibatch, auto) = (
-            wall(EngineKind::Batched).expect("batched always runs"),
-            wall(EngineKind::MultiBatch).expect("multibatch always runs"),
-            wall(EngineKind::Auto).expect("auto always runs"),
-        );
-        if let Some(per_step) = wall(EngineKind::PerStep) {
+        let batched = wall(EpidemicWorkload::Sparse, EngineKind::Batched)
+            .expect("sparse batched always runs");
+        if let Some(per_step) = wall(EpidemicWorkload::Sparse, EngineKind::PerStep) {
             speedup_notes.push(format!(
                 "n = {n}: batched engine {:.1}× faster wall-clock than per-step",
                 per_step / batched.max(1e-9)
             ));
         }
-        // Phrase the duel in the direction it actually went: at small n the
-        // √n epoch is too short and the batched engine wins the wall clock.
-        let ratio = batched / multibatch.max(1e-9);
-        speedup_notes.push(if ratio >= 1.0 {
-            format!("n = {n}: multi-batch engine {ratio:.1}× faster wall-clock than batched")
-        } else {
-            format!(
-                "n = {n}: multi-batch engine {:.1}× slower wall-clock than batched \
-                 (below the engine's crossover size)",
-                1.0 / ratio
-            )
-        });
-        let faster_fixed = batched.min(multibatch);
+        for (workload, tag) in [
+            (EpidemicWorkload::Sparse, format!("n = {n}")),
+            (EpidemicWorkload::Dense, format!("n = {n}, dense start")),
+        ] {
+            let [batched, multibatch, auto] =
+                count_tiers.map(|engine| wall(workload, engine).expect("count tiers always run"));
+            // Phrase the duel in the direction it actually went: at small n
+            // the √n epoch is too short and the batched engine wins the wall
+            // clock.
+            let ratio = batched / multibatch.max(1e-9);
+            speedup_notes.push(if ratio >= 1.0 {
+                format!("{tag}: multi-batch engine {ratio:.1}× faster wall-clock than batched")
+            } else {
+                format!(
+                    "{tag}: multi-batch engine {:.1}× slower wall-clock than batched \
+                     (below the engine's crossover size)",
+                    1.0 / ratio
+                )
+            });
+            speedup_notes.push(format!(
+                "{tag}: auto engine at {:.2}× the faster fixed count engine's wall clock \
+                 (≤ 1 means the adaptive handoffs beat both fixed tiers)",
+                auto / batched.min(multibatch).max(1e-9)
+            ));
+        }
+        let discovered = wall(EpidemicWorkload::SparseDiscovered, EngineKind::Batched)
+            .expect("discovered batched always runs");
         speedup_notes.push(format!(
-            "n = {n}: auto engine at {:.2}× the faster fixed count engine's wall clock \
-             (≤ 1 means the adaptive handoffs beat both fixed tiers)",
-            auto / faster_fixed.max(1e-9)
+            "n = {n}: discovered batched engine at {:.2}× the enumerated batched wall clock \
+             (the state indexer's interning and peeking cost)",
+            discovered / batched.max(1e-9)
         ));
     }
     for note in speedup_notes {
@@ -167,7 +254,11 @@ pub fn e10_engine_scale(scale: Scale) -> Table {
          epoch length ≈ 0.63·√n (every epoch of the two-state epidemic costs O(1)), so its \
          advantage over batched widens with n; the auto engine tracks the faster fixed tier per \
          activity phase (batched through the silent head/tail, multi-batch through the dense \
-         middle). All engines report completion interactions near 2 n ln n."
+         middle). All engines report completion interactions near 2 n ln n. The dense-start \
+         rows begin at the epidemic's midpoint, so they run about half as long and time the \
+         engines where a constant fraction of interactions changes state. The discovered row \
+         is the enumerated batched run (same seeds, same interactions) plus the state \
+         indexer's interning and peeking cost."
             .to_string(),
     );
     table.push_note(
@@ -192,7 +283,7 @@ mod tests {
             EngineKind::MultiBatch,
             EngineKind::Auto,
         ] {
-            let m = epidemic_throughput(512, 2, 3, engine);
+            let m = epidemic_throughput(EpidemicWorkload::Sparse, 512, 2, 3, engine);
             let nf = 512f64;
             // Completion near 2 n ln n, within loose Monte-Carlo bounds.
             assert!(m.mean_interactions > nf, "{engine:?}");
@@ -215,6 +306,23 @@ mod tests {
         assert_eq!(count("multibatch"), ns);
         assert_eq!(count("auto"), ns);
         assert!(count("per-step") >= 1, "the comparison rows must exist");
+        for &n in &Scale::Tiny.batched_n_values() {
+            let at_n = |label: &str| {
+                table
+                    .rows
+                    .iter()
+                    .filter(|r| r[0] == n.to_string() && r[1] == label)
+                    .count()
+            };
+            for label in [
+                "batched (dense start)",
+                "multibatch (dense start)",
+                "auto (dense start)",
+                "batched (discovered)",
+            ] {
+                assert_eq!(at_n(label), 1, "n = {n}: one {label} row");
+            }
+        }
         for row in &table.rows {
             let interactions: f64 = row[3].parse().unwrap();
             assert!(interactions > 0.0);
@@ -237,6 +345,11 @@ mod tests {
                 .iter()
                 .any(|n| n.contains("auto engine") && n.contains("faster fixed")),
             "auto-vs-fixed notes missing: {:?}",
+            table.notes
+        );
+        assert!(
+            table.notes.iter().any(|n| n.contains("dense start")),
+            "dense-start notes missing: {:?}",
             table.notes
         );
     }

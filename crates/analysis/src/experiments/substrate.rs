@@ -93,9 +93,8 @@ pub fn e8_substrate(scale: Scale) -> Table {
 /// Runs the load-balancing process on one group of size `m` where agent 0
 /// initially holds *all* messages, and returns the number of pairwise
 /// meetings until every agent's total message count is within a factor of two
-/// of the average. (Public so the Criterion benches can exercise it
-/// directly.)
-pub fn load_balancing_meetings(m: usize, seed: u64) -> u64 {
+/// of the average.
+fn load_balancing_meetings(m: usize, seed: u64) -> u64 {
     let ids_per_rank = 2 * (m as u32) * (m as u32);
     let mut agents: Vec<CollisionState> = (0..m)
         .map(|_| CollisionState {
@@ -196,7 +195,7 @@ impl CleanInit for CoinHarness {
 
 /// Aggregated quality measures of a synthetic-coin run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoinQuality {
+struct CoinQuality {
     /// Number of samples aggregated over all agents.
     pub samples: u64,
     /// Total-variation distance from the uniform distribution.
@@ -208,7 +207,7 @@ pub struct CoinQuality {
 }
 
 /// Runs the synthetic-coin harness and aggregates sample quality.
-pub fn measure_coin_quality(n: usize, n_values: u64, interactions: u64, seed: u64) -> CoinQuality {
+fn measure_coin_quality(n: usize, n_values: u64, interactions: u64, seed: u64) -> CoinQuality {
     let harness = CoinHarness::new(n, n_values);
     let config = Configuration::clean(&harness);
     let mut sim = Simulation::new(harness, config, seed);

@@ -8,14 +8,15 @@
 //! * [`scale`] — the `Quick`/`Full` experiment scales (grid sizes, trial
 //!   counts, budgets),
 //! * [`experiments`] — one function per experiment, each returning a
-//!   [`Table`] whose rows are what `EXPERIMENTS.md` records,
+//!   [`Table`] whose rows are what `EXPERIMENTS.md` records, listed once in
+//!   [`experiments::REGISTRY`],
 //! * [`service`] — the experiment service layer: the [`ExperimentService`]
 //!   trait (spec in, rendered result-table JSON out), the canonical
 //!   [`JobSpec`] with its content-addressed cache key, and the in-process
 //!   [`LocalService`] backend the `ssle-server` daemon's workers call into.
 //!
-//! The `experiments` binary in the `bench` crate and the Criterion benches
-//! are thin wrappers over these functions.
+//! The `experiments` binary in the `bench` crate is a thin wrapper over the
+//! registry that also times each table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

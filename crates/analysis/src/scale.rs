@@ -1,9 +1,9 @@
 //! Experiment scales.
 //!
-//! Every experiment can run at two scales: [`Scale::Quick`] keeps grids and
-//! trial counts small enough for CI and for the Criterion benches (seconds to
-//! a few minutes in total), [`Scale::Full`] uses the grids recorded in
-//! `EXPERIMENTS.md`. Both scales exercise exactly the same code paths.
+//! Every experiment runs at three scales: [`Scale::Tiny`] for the tests,
+//! [`Scale::Quick`] with grids and trial counts small enough for CI (seconds
+//! to a few minutes in total), and [`Scale::Full`] with the grids recorded in
+//! `EXPERIMENTS.md`. All scales exercise exactly the same code paths.
 
 use serde::Serialize;
 
@@ -15,7 +15,7 @@ pub enum Scale {
     /// Minimal instances exercising every code path — used by the unit and
     /// integration tests (debug builds).
     Tiny,
-    /// Small grids and few trials — for CI and the Criterion benches.
+    /// Small grids and few trials — for CI.
     Quick,
     /// The grids recorded in `EXPERIMENTS.md`.
     Full,

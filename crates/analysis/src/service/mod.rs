@@ -37,9 +37,9 @@ use wire::JsonValue;
 
 pub use local::{service_sweep, LocalService};
 
-/// The experiment ids the service accepts besides the registry
-/// (`crate::experiments::by_id`) ids: the deterministic epidemic sweep that
-/// exercises the engine/seed/trials knobs.
+/// The id of the deterministic epidemic sweep: the one
+/// [`crate::experiments::REGISTRY`] experiment that takes the
+/// engine/seed/trials knobs, and the one `all` leaves out.
 pub const SWEEP_EXPERIMENT: &str = "sweep";
 
 /// Errors produced by experiment services (local or remote).
@@ -79,8 +79,8 @@ impl Error for ServiceError {}
 /// content-addressed cache filename (`cache/<key>.json`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// A registry experiment id (`"e1"`…`"e11"`, `"fleet"`, `"p1"`) or
-    /// [`SWEEP_EXPERIMENT`].
+    /// A [`crate::experiments::REGISTRY`] id: `"e1"`…`"e11"`, `"fleet"`,
+    /// `"p1"` or [`SWEEP_EXPERIMENT`].
     pub experiment: String,
     /// The experiment scale (grid sizes, budgets).
     pub scale: Scale,

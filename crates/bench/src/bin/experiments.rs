@@ -8,7 +8,8 @@
 //!
 //! The first argument selects the experiment (`e1` … `e11`, `fleet`, `p1`,
 //! `sweep`, or `all`), the second the scale (`tiny`, `quick`, `full`;
-//! default `quick`; any other token is rejected). With
+//! default `quick`; any other token is rejected). Each table's wall time is
+//! printed to stderr as one `<id>: <seconds> s` line. With
 //! `--csv <dir>` every table is additionally written as a CSV file and as a
 //! JSON document into the given directory. With `--trace <path>` the driver
 //! additionally runs one telemetry-instrumented adaptive epidemic (the P1
@@ -25,7 +26,8 @@
 
 #![forbid(unsafe_code)]
 
-use analysis::{experiments, ExperimentService, JobSpec, Scale, Table};
+use analysis::experiments::{self, Experiment};
+use analysis::{ExperimentService, JobSpec, Scale, Table};
 use ssle_client::HttpClient;
 use ssle_server::ServerConfig;
 use std::path::PathBuf;
@@ -81,12 +83,11 @@ fn main() {
         return;
     }
 
-    let started = Instant::now();
-    let tables: Vec<Table> = if selection == "all" {
-        experiments::all(scale)
+    let selected: Vec<&Experiment> = if selection == "all" {
+        experiments::all().collect()
     } else {
-        match experiments::by_id(&selection, scale) {
-            Some(table) => vec![table],
+        match experiments::find(&selection) {
+            Some(experiment) => vec![experiment],
             None => {
                 eprintln!("unknown experiment id '{selection}'");
                 print_usage();
@@ -95,8 +96,20 @@ fn main() {
         }
     };
 
-    for table in &tables {
+    let started = Instant::now();
+    let mut tables: Vec<Table> = Vec::with_capacity(selected.len());
+    for experiment in selected {
+        let table_started = Instant::now();
+        let table = (experiment.run)(scale);
+        // Machine-readable per-table wall time (`<id>: <seconds> s`): the CI
+        // smoke appends these lines to its timings artifact.
+        eprintln!(
+            "{}: {:.2} s",
+            experiment.id,
+            table_started.elapsed().as_secs_f64()
+        );
         println!("{}", table.to_markdown());
+        tables.push(table);
     }
     eprintln!(
         "ran {} experiment(s) at {:?} scale in {:.1}s",
@@ -227,26 +240,17 @@ fn run_remote(addr: &str, selection: &str, scale: Scale) {
 }
 
 fn print_usage() {
+    let ids: Vec<&str> = experiments::REGISTRY.iter().map(|e| e.id).collect();
     eprintln!(
-        "usage: experiments [e1|e2|...|e11|fleet|p1|sweep|all] [tiny|quick|full] [--csv <dir>] \
-         [--trace <path>] [--remote <host:port>]"
+        "usage: experiments [{}|all] [tiny|quick|full] [--csv <dir>] [--trace <path>] \
+         [--remote <host:port>]",
+        ids.join("|")
     );
     eprintln!("       experiments serve [--addr HOST:PORT] [--workers N] [--cache DIR]");
     eprintln!();
-    eprintln!("  e1  stabilization time vs r          (Theorem 1.1, time axis)");
-    eprintln!("  e2  state-space size vs r            (Theorem 1.1, space axis)");
-    eprintln!("  e3  stabilization after a full reset (Lemma 6.2)");
-    eprintln!("  e4  recovery from adversarial starts (Lemma 6.3)");
-    eprintln!("  e5  collision-detection latency      (Lemma E.1)");
-    eprintln!("  e6  ElectLeader_r vs baselines");
-    eprintln!("  e7  soft-reset safety                (Section 3.2)");
-    eprintln!("  e8  epidemic & load-balancing substrate (Lemmas A.2, E.6)");
-    eprintln!("  e9  synthetic-coin quality           (Appendix B)");
-    eprintln!("  e10 engine scale sweep: batched vs multi-batch vs per-step at large n");
-    eprintln!("  e11 ElectLeader_r stabilization curves + r trade-off surface (dynamic indexing)");
-    eprintln!("  fleet trial-fleet throughput: trials/sec at 1 vs N worker threads");
-    eprintln!("  p1  engine instrumentation profile: ns/interaction by mode (telemetry spans)");
-    eprintln!("  sweep deterministic epidemic sweep (timing-free; the service's native workload)");
+    for experiment in experiments::REGISTRY {
+        eprintln!("  {:<5} {}", experiment.id, experiment.description);
+    }
 }
 
 #[cfg(test)]
